@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <unordered_set>
@@ -18,11 +17,16 @@ namespace {
 
 constexpr int64_t kGrid = int64_t{1} << 24;  // coordinates in [0, 2^24)
 
+// Per-point state. The statistics tallies live here rather than in shared
+// atomics, so the hot rounds touch only the point's own record; they are
+// summed once at the end.
 struct PerPoint {
   uint32_t seed = kNoTri;
   std::vector<uint32_t> dead;
   std::vector<Mesh::Boundary> boundary;
-  bool won = false;
+  uint64_t history_steps = 0;
+  uint32_t cavity_triangles = 0;
+  uint32_t retries = 0;
 };
 
 // Fixed block size for the uncounted bookkeeping passes (bounding box,
@@ -118,9 +122,6 @@ std::unique_ptr<Mesh> triangulate(const std::vector<geom::GridPoint>& pts,
   local.prefix_rounds = batches.size();
 
   std::vector<PerPoint> state(n);
-  std::atomic<uint64_t> history_steps{0};
-  std::atomic<uint64_t> cavity_total{0};
-  std::atomic<size_t> retries{0};
 
   for (auto [blo, bhi] : batches) {
     std::vector<uint32_t> active(bhi - blo);
@@ -158,7 +159,7 @@ std::unique_ptr<Mesh> triangulate(const std::vector<geom::GridPoint>& pts,
           found = mesh->descend(p, mesh->root(), [&](uint32_t) { ++steps; });
           assert(found != kNoTri);
         }
-        history_steps.fetch_add(steps, std::memory_order_relaxed);
+        st.history_steps += steps;
         if (mode == Mode::kWriteEfficient && found != start) {
           // DAG tracing: one write to record the new placement.
           asym::count_write();
@@ -206,12 +207,11 @@ std::unique_ptr<Mesh> triangulate(const std::vector<geom::GridPoint>& pts,
           }
         }
         if (!win) {
-          retries.fetch_add(1, std::memory_order_relaxed);
+          ++st.retries;
           return;
         }
-        std::vector<uint32_t> fresh;
-        mesh->retriangulate(p, st.dead, st.boundary, fresh);
-        cavity_total.fetch_add(st.dead.size(), std::memory_order_relaxed);
+        mesh->retriangulate(p, st.dead, st.boundary);
+        st.cavity_triangles = static_cast<uint32_t>(st.dead.size());
         done[i] = 1;
       });
       // Phase 4: clear reservations and compact the active set.
@@ -268,9 +268,11 @@ std::unique_ptr<Mesh> triangulate(const std::vector<geom::GridPoint>& pts,
   }
 
   local.cost = region.delta();
-  local.history_steps = history_steps.load();
-  local.cavity_triangles = cavity_total.load();
-  local.retries = retries.load();
+  for (const PerPoint& st : state) {
+    local.history_steps += st.history_steps;
+    local.cavity_triangles += st.cavity_triangles;
+    local.retries += st.retries;
+  }
   local.triangles_created = mesh->num_created();
   local.points_inserted = n;
   if (stats) *stats = local;

@@ -1,11 +1,12 @@
 // Triangle mesh substrate for the Delaunay algorithms (Section 5).
 //
-// Triangles are records in a pre-sized pool (parallel insertions allocate
-// slots from an atomic counter). Each triangle stores its three vertices
-// (CCW), the three neighbors across its edges, an aliveness flag, a
+// Triangles are records in a pre-sized pool (each cavity's fan takes one
+// contiguous block from an atomic counter). Each triangle stores its three
+// vertices (CCW), the three neighbors across its edges, an aliveness flag, a
 // reservation word for the deterministic-reservation parallel rounds, and
 // its *history children*: when a cavity is retriangulated, every dead cavity
-// triangle records all new triangles of that cavity as children. This yields
+// triangle records all new triangles of that cavity as children — the fan's
+// block, so the record is one (first, count) range. This yields
 // the tracing structure of Section 5 / Figure 1 (a superset of its edges):
 //   * traceable property: p encroaches a new triangle (u,w,v) only if it
 //     encroached one of the two old triangles sharing (u,w) — the classical
@@ -18,6 +19,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/asym/counters.h"
@@ -33,22 +35,27 @@ struct Triangle {
   uint32_t nbr[3] = {kNoTri, kNoTri, kNoTri};
   std::atomic<uint32_t> reserve{UINT32_MAX};   // priority-write reservation
   std::atomic<bool> alive{false};
-  std::vector<uint32_t> children;   // history successors (set at death)
+  // History successors, set at death: the fan of the cavity that killed
+  // this triangle, triangles [child_lo, child_lo + child_n) in boundary
+  // order. child_n == 0 while alive.
+  uint32_t child_lo = kNoTri;
+  uint32_t child_n = 0;
 
   Triangle() = default;
 };
 
 class Mesh {
  public:
-  // `capacity` bounds the total number of triangles ever created.
+  // `capacity` bounds the total number of triangles ever created; running
+  // past it aborts with a message in every build type.
   Mesh(std::vector<geom::GridPoint> vertices, size_t capacity);
 
   const std::vector<geom::GridPoint>& vertices() const { return verts_; }
   size_t num_created() const { return next_.load(std::memory_order_relaxed); }
   uint32_t root() const { return root_; }
 
-  Triangle& tri(uint32_t t) { return pool_[t]; }
-  const Triangle& tri(uint32_t t) const { return pool_[t]; }
+  Triangle& tri(uint32_t t) { return pool_.get()[t]; }
+  const Triangle& tri(uint32_t t) const { return pool_.get()[t]; }
 
   // True iff vertex p encroaches triangle t (p strictly inside t's
   // circumcircle under symbolic perturbation). Charges one read.
@@ -65,10 +72,11 @@ class Mesh {
   uint32_t descend(uint32_t p, uint32_t from, Step&& step) const {
     uint32_t t = from;
     if (!encroaches(p, t)) return kNoTri;
-    while (!pool_[t].alive.load(std::memory_order_acquire)) {
+    while (!tri(t).alive.load(std::memory_order_acquire)) {
       step(t);
       uint32_t next = kNoTri;
-      for (uint32_t c : pool_[t].children) {
+      const Triangle& tr = tri(t);
+      for (uint32_t c = tr.child_lo; c < tr.child_lo + tr.child_n; ++c) {
         if (encroaches(p, c)) {
           next = c;
           break;
@@ -95,12 +103,13 @@ class Mesh {
   void cavity(uint32_t p, uint32_t seed, std::vector<uint32_t>& dead,
               std::vector<Boundary>& boundary) const;
 
-  // Replaces the cavity by the fan around p. Returns the new triangles.
-  // Thread-safe for disjoint cavities (reservation protocol guarantees
-  // exclusivity). Appends history children to every dead triangle.
+  // Replaces the cavity by the fan around p: one new triangle per boundary
+  // edge, allocated as one contiguous block. Thread-safe for disjoint
+  // cavities (reservation protocol guarantees exclusivity). Records the
+  // block as every dead triangle's history children. Aborts with a message
+  // if the pool is exhausted.
   void retriangulate(uint32_t p, const std::vector<uint32_t>& dead,
-                     const std::vector<Boundary>& boundary,
-                     std::vector<uint32_t>& fresh);
+                     const std::vector<Boundary>& boundary);
 
   // All alive triangles (test/bench helper, uncounted).
   std::vector<uint32_t> alive_triangles() const;
@@ -113,13 +122,23 @@ class Mesh {
                                          = nullptr) const;
 
  private:
-  uint32_t alloc() {
-    uint32_t t = next_.fetch_add(1, std::memory_order_relaxed);
-    return t;
-  }
+  // Claims k consecutive pool slots, constructs them, and returns the
+  // first. The capacity passed to the constructor is checked in every build
+  // type.
+  uint32_t alloc(uint32_t k);
+
+  // The pool is allocated but not constructed up front: alloc() constructs
+  // the slots it hands out, so creating a mesh costs no serial pass over
+  // `capacity` triangles and each page is first touched by the worker that
+  // fills it. Triangle is trivially destructible, so freeing needs no pass
+  // either.
+  struct PoolFree {
+    void operator()(Triangle* p) const { ::operator delete(p); }
+  };
 
   std::vector<geom::GridPoint> verts_;
-  std::vector<Triangle> pool_;
+  size_t capacity_;
+  std::unique_ptr<Triangle, PoolFree> pool_;
   std::atomic<uint32_t> next_{0};
   uint32_t root_ = kNoTri;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <cmath>
 #include <cstdint>
 
 namespace weg::geom {
@@ -81,6 +82,45 @@ int orient2d_sos_impl(const GridPoint& p1, const GridPoint& p2,
   return 0;  // unreachable for distinct ids
 }
 
+// Floating-point in-circle filter: the sign of the determinant in double
+// arithmetic when its rounding error provably cannot flip it, else 0
+// ("undecided"). The differences p - d are exact (|coords| < 2^29, so they
+// are integers below 2^53), and every later operation rounds once with
+// relative error at most eps = 2^-53 (this file is compiled with
+// -ffp-contract=off, so nothing is fused into a multiply-add). Under those
+// conditions Shewchuk's first-stage bound applies ("Adaptive
+// Precision Floating-Point Arithmetic and Fast Robust Geometric
+// Predicates", 1997, iccerrboundA): |det_fl - det| <= (10 + 96 eps) eps *
+// permanent, where the permanent is the determinant with every product
+// replaced by its absolute value. Integer operands leave no room for
+// underflow, and the largest product (< 2^122) is far from overflow.
+int in_circle_filter(const GridPoint& a, const GridPoint& b,
+                     const GridPoint& c, const GridPoint& d) {
+  constexpr double kEps = 0x1p-53;
+  constexpr double kErrBound = (10.0 + 96.0 * kEps) * kEps;
+  double adx = static_cast<double>(a.x - d.x);
+  double ady = static_cast<double>(a.y - d.y);
+  double bdx = static_cast<double>(b.x - d.x);
+  double bdy = static_cast<double>(b.y - d.y);
+  double cdx = static_cast<double>(c.x - d.x);
+  double cdy = static_cast<double>(c.y - d.y);
+  double bdxcdy = bdx * cdy, cdxbdy = cdx * bdy;
+  double cdxady = cdx * ady, adxcdy = adx * cdy;
+  double adxbdy = adx * bdy, bdxady = bdx * ady;
+  double alift = adx * adx + ady * ady;
+  double blift = bdx * bdx + bdy * bdy;
+  double clift = cdx * cdx + cdy * cdy;
+  double det = alift * (bdxcdy - cdxbdy) + blift * (cdxady - adxcdy) +
+               clift * (adxbdy - bdxady);
+  double permanent = (std::fabs(bdxcdy) + std::fabs(cdxbdy)) * alift +
+                     (std::fabs(cdxady) + std::fabs(adxcdy)) * blift +
+                     (std::fabs(adxbdy) + std::fabs(bdxady)) * clift;
+  double err = kErrBound * permanent;
+  if (det > err) return 1;
+  if (-det > err) return -1;
+  return 0;
+}
+
 }  // namespace
 
 int orient2d_exact(const GridPoint& a, const GridPoint& b, const GridPoint& c) {
@@ -89,6 +129,10 @@ int orient2d_exact(const GridPoint& a, const GridPoint& b, const GridPoint& c) {
 
 int orient2d_sos(const GridPoint& a, const GridPoint& b, const GridPoint& c) {
   assert(!(a.id == b.id || b.id == c.id || a.id == c.id));
+  // Term 0 of the expansion (the plain determinant) always sorts first, so a
+  // nonzero determinant decides without building the perturbation table.
+  int s = sign_of(orient_det(a, b, c));
+  if (s != 0) return s;
   return orient2d_sos_impl(a, b, c);
 }
 
@@ -111,7 +155,8 @@ int in_circle_exact(const GridPoint& a, const GridPoint& b, const GridPoint& c,
 
 bool in_circle_sos(const GridPoint& a, const GridPoint& b, const GridPoint& c,
                    const GridPoint& d) {
-  int s = in_circle_exact(a, b, c, d);
+  int s = in_circle_filter(a, b, c, d);
+  if (s == 0) s = in_circle_exact(a, b, c, d);
   if (s != 0) return s > 0;
   // Cocircular: perturb lifts by eps_id, larger for smaller id. The first
   // point in increasing id order whose orientation coefficient is nonzero

@@ -2,15 +2,19 @@
 // perturbation so every predicate is decided (general position is simulated,
 // matching the paper's "points in general position" assumption in Section 5).
 //
-//  * orient2d: exact sign via 128-bit integers; ties broken by
+//  * orient2d: exact sign via 128-bit integers, which decides whenever the
+//    determinant is nonzero; only a zero determinant is broken by
 //    Simulation-of-Simplicity on the (x, y) coordinates — point with id i is
 //    conceptually displaced by infinitesimals (a_i, b_i) whose magnitudes
 //    decrease super-exponentially in id, and the first nonzero coefficient of
 //    the multilinear expansion decides the sign. The expansion's final terms
 //    have coefficient ±1, so the perturbed predicate is never zero for
 //    distinct points.
-//  * in_circle: exact sign via 128-bit integers (valid for |coords| < 2^29);
-//    ties broken by perturbing the *lift* coordinate x^2+y^2 of point id i by
+//  * in_circle: a double-precision filter with Shewchuk's proven error
+//    bound decides most calls; when the bound cannot rule out a sign flip,
+//    the exact sign comes from 128-bit integers (valid for |coords| < 2^29).
+//    The filter never changes a sign, only how it is computed. Ties are
+//    broken by perturbing the *lift* coordinate x^2+y^2 of point id i by
 //    eps_i with eps decreasing in id. This is exactly a regular triangulation
 //    with infinitesimal weights; the perturbed determinant expands linearly:
 //       D' = D + eps_a*orient(d,b,c) + eps_b*orient(d,c,a)
@@ -33,7 +37,8 @@ int orient2d_exact(const GridPoint& a, const GridPoint& b, const GridPoint& c);
 int orient2d_sos(const GridPoint& a, const GridPoint& b, const GridPoint& c);
 
 // Exact in-circle sign relative to the CCW triangle (a,b,c): >0 if d strictly
-// inside the circumcircle, <0 outside, 0 cocircular.
+// inside the circumcircle, <0 outside, 0 cocircular. Always the full 128-bit
+// determinant (the unfiltered reference for in_circle_sos).
 // Requires |coords| < 2^29 so the determinant fits in 128 bits.
 int in_circle_exact(const GridPoint& a, const GridPoint& b, const GridPoint& c,
                     const GridPoint& d);

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #include "src/core/prefix_doubling.h"
 #include "src/parallel/parallel_for.h"
@@ -16,6 +17,24 @@ namespace weg::sort {
 namespace {
 
 constexpr uint32_t kEmpty = UINT32_MAX;
+
+// Lane width of the tracing kernel: one task walks this many keys down the
+// tree together, so their cache misses overlap instead of running one at a
+// time.
+constexpr size_t kLanes = 16;
+
+// Cut depth of the parallel in-order emission: the at most 2^kCutDepth - 1
+// nodes above it are walked serially, the subtrees rooted at it are sized
+// and emitted in parallel.
+constexpr int kCutDepth = 10;
+
+// Output of tracing one key: the slot its search ends at (slot encoding,
+// see Tree::slot) or kPostponed if its path enters a frozen subtree.
+constexpr uint64_t kPostponed = UINT64_MAX;
+struct Traced {
+  uint64_t bucket;
+  uint32_t elem;
+};
 
 // BST node for element e (node index == element index == insertion priority;
 // lower index wins priority-writes). `placed` marks slots sealed in earlier
@@ -37,9 +56,11 @@ struct Tree {
   std::atomic<uint32_t> root{kEmpty};
 
   // Strict order on elements: by key, ties by index (so duplicates work).
+  static bool precedes(uint64_t ke, uint32_t e, uint64_t kat, uint32_t at) {
+    return ke < kat || (ke == kat && e < at);
+  }
   bool goes_left(uint32_t e, uint32_t at) const {
-    const Node& n = nodes[at];
-    return nodes[e].key < n.key || (nodes[e].key == n.key && e < at);
+    return precedes(nodes[e].key, e, nodes[at].key, at);
   }
 
   // Slot encoding: 0 = root, else (node << 1 | side) + 1.
@@ -99,12 +120,11 @@ struct Tree {
     return h;
   }
 
-  // In-order traversal of node ids (charged as output writes by the caller).
-  void inorder_ids(std::vector<uint32_t>& out) const {
-    out.clear();
-    out.reserve(nodes.size());
+  // Walks the subtree at `sub` in order, calling visit(node) per node.
+  template <typename Visit>
+  void walk_inorder(uint32_t sub, Visit&& visit) const {
     std::vector<uint32_t> stack;
-    uint32_t cur = root.load();
+    uint32_t cur = sub;
     while (cur != kEmpty || !stack.empty()) {
       while (cur != kEmpty) {
         stack.push_back(cur);
@@ -112,16 +132,115 @@ struct Tree {
       }
       cur = stack.back();
       stack.pop_back();
-      out.push_back(cur);
+      visit(cur);
       cur = nodes[cur].child[1].load(std::memory_order_relaxed);
     }
+  }
+
+  // In-order traversal of node ids (charged as output writes by the
+  // caller). Reads the tree only: the nodes above kCutDepth become an
+  // in-order list of pieces — a single node, or a whole subtree rooted at
+  // the cut — then the subtrees are sized in parallel and each writes its
+  // in-order run at its offset in `out`. The piece list has fewer than
+  // 2^(kCutDepth+1) entries, so it lives in symmetric memory.
+  void inorder_ids(std::vector<uint32_t>& out) const {
+    struct Piece {
+      uint32_t node;
+      bool whole;   // the subtree at `node`, or `node` alone
+      size_t size;  // then the offset of its run in `out`
+    };
+    std::vector<Piece> pieces;
+    auto top = [&](auto& self, uint32_t node, int depth) -> void {
+      if (node == kEmpty) return;
+      if (depth == kCutDepth) {
+        pieces.push_back({node, true, 0});
+        return;
+      }
+      self(self, nodes[node].child[0].load(std::memory_order_relaxed),
+           depth + 1);
+      pieces.push_back({node, false, 1});
+      self(self, nodes[node].child[1].load(std::memory_order_relaxed),
+           depth + 1);
+    };
+    top(top, root.load(), 0);
+    parallel::parallel_for(
+        0, pieces.size(),
+        [&](size_t i) {
+          if (pieces[i].whole) {
+            walk_inorder(pieces[i].node, [&](uint32_t) { ++pieces[i].size; });
+          }
+        },
+        1);
+    size_t total = 0;
+    for (Piece& pc : pieces) total += std::exchange(pc.size, total);
+    out.resize(total);
+    parallel::parallel_for(
+        0, pieces.size(),
+        [&](size_t i) {
+          uint32_t* run = out.data() + pieces[i].size;
+          if (!pieces[i].whole) {
+            *run = pieces[i].node;
+          } else {
+            walk_inorder(pieces[i].node, [&](uint32_t v) { *run++ = v; });
+          }
+        },
+        1);
   }
 
   void inorder(std::vector<uint64_t>& out) const {
     std::vector<uint32_t> ids;
     inorder_ids(ids);
     out.resize(ids.size());
-    for (size_t i = 0; i < ids.size(); ++i) out[i] = nodes[ids[i]].key;
+    parallel::parallel_for(0, ids.size(),
+                           [&](size_t i) { out[i] = nodes[ids[i]].key; });
+  }
+
+  // Step 1 of a write-efficient round (DAG tracing), for the at most kLanes
+  // elements [lo, hi): walks them down the tree together, one level per
+  // pass over the lanes, prefetching each lane's next node, and writes one
+  // Traced record per element to `out`. Each lane is charged exactly what a
+  // lone search pays — count_read(2) per level (node key and frozen bit,
+  // child slot) and one write for its record — tallied here and charged
+  // once per block. The tree is not modified while tracing runs, so lanes
+  // do not interact.
+  void trace_block(size_t lo, size_t hi, Traced* out) const {
+    uint32_t at[kLanes];
+    uint64_t key[kLanes];
+    uint8_t active[kLanes];
+    size_t m = hi - lo, live = m;
+    uint32_t r = root.load(std::memory_order_relaxed);
+    assert(r != kEmpty);
+    for (size_t l = 0; l < m; ++l) {
+      at[l] = r;
+      key[l] = nodes[lo + l].key;
+      active[l] = static_cast<uint8_t>(l);
+    }
+    uint64_t reads = 0;
+    while (live > 0) {
+      size_t kept = 0;
+      for (size_t j = 0; j < live; ++j) {
+        size_t l = active[j];
+        uint32_t e = static_cast<uint32_t>(lo + l), w = at[l];
+        const Node& nd = nodes[w];
+        reads += 2;
+        if (nd.frozen.load(std::memory_order_relaxed)) {
+          out[l] = Traced{kPostponed, e};
+          continue;
+        }
+        int side = precedes(key[l], e, nd.key, w) ? 0 : 1;
+        uint32_t c = nd.child[side].load(std::memory_order_relaxed);
+        if (c == kEmpty) {
+          out[l] = Traced{pack_slot(w, side), e};
+          continue;
+        }
+        __builtin_prefetch(&nodes[c]);
+        at[l] = c;
+        active[kept++] = static_cast<uint8_t>(l);
+      }
+      live = kept;
+    }
+    asym::count_read(reads);
+    asym::count_write(m);  // one (bucket, element) record per lane
   }
 };
 
@@ -289,35 +408,12 @@ std::unique_ptr<Tree> build_we_tree(const std::vector<uint64_t>& keys,
   for (size_t r = 1; r < rounds_spec.size(); ++r) {
     auto [lo, hi] = rounds_spec[r];
     ++total_rounds;
-    struct Traced {
-      uint64_t bucket;  // slot encoding; kPostponed for frozen paths
-      uint32_t elem;
-    };
-    constexpr uint64_t kPostponed = UINT64_MAX;
     std::vector<Traced> traced(hi - lo);
     // Step 1 — DAG tracing down the search tree: reads only, one bookkeeping
-    // write per element to record its bucket.
-    parallel::parallel_for(lo, hi, [&](size_t i) {
-      uint32_t e = static_cast<uint32_t>(i);
-      uint64_t bucket = kPostponed;
-      uint32_t w = tree.root.load(std::memory_order_relaxed);
-      assert(w != kEmpty);
-      while (true) {
-        asym::count_read(2);  // node key (+frozen bit) and child slot
-        if (tree.nodes[w].frozen.load(std::memory_order_relaxed)) {
-          bucket = kPostponed;
-          break;
-        }
-        int side = tree.goes_left(e, w) ? 0 : 1;
-        uint32_t c = tree.nodes[w].child[side].load(std::memory_order_relaxed);
-        if (c == kEmpty) {
-          bucket = Tree::pack_slot(w, side);
-          break;
-        }
-        w = c;
-      }
-      asym::count_write();  // record (bucket, element)
-      traced[i - lo] = Traced{bucket, e};
+    // write per element to record its bucket. Fixed blocks of kLanes keys.
+    parallel::parallel_for(0, (hi - lo + kLanes - 1) / kLanes, [&](size_t b) {
+      size_t blo = lo + b * kLanes;
+      tree.trace_block(blo, std::min(hi, blo + kLanes), &traced[blo - lo]);
     });
 
     // Step 2 — semisort by bucket id. Late rounds trace most keys into few

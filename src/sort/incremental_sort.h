@@ -21,6 +21,16 @@
 //    a final classic round, giving O(log^2 n) depth overall with o(n) extra
 //    writes (Theorem 4.1).
 //
+// Implementation notes. The tracing step walks a fixed block of keys down
+// the tree together, one level per pass over the block, prefetching each
+// key's next node, so a task keeps many cache misses in flight; each key is
+// still charged two reads per level and one write for its bucket record,
+// exactly as a lone search would be. The sorted output is emitted in
+// parallel: the subtrees below a fixed cut depth are sized, then each writes
+// its in-order run at its offset — reads only, plus the output writes. Both
+// constants are fixed, so outputs and asym counts are the same at every
+// worker count.
+//
 // Keys are uint64_t; ties are broken by insertion position, so duplicate
 // keys are fully supported.
 #pragma once

@@ -1,8 +1,9 @@
 // Delaunay triangulation tests (Section 5): mesh validity and the exact
 // empty-circle property across point distributions (uniform, circle, grid,
 // clusters, collinear, duplicates), agreement between the baseline and the
-// write-efficient variants, Euler-formula structure, and the Theorem 5.1
-// write bounds.
+// write-efficient variants, Euler-formula structure, the Theorem 5.1 write
+// bounds, the contiguous history-fan layout, golden DTStats, and the
+// pool-capacity check.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -179,6 +180,80 @@ TEST(Delaunay, PrefixRoundsMatchSchedule) {
   triangulate(pts, Mode::kBaseline, &sb);
   EXPECT_GT(sw.prefix_rounds, 4u);
   EXPECT_EQ(sb.prefix_rounds, 1u);
+}
+
+TEST(Delaunay, HistoryChildrenAreContiguousLaterFans) {
+  // Every dead triangle's children are the fan of the cavity that killed
+  // it: one block of at least three triangles, all created after it, inside
+  // the pool's used prefix. Alive triangles have no children.
+  for (Mode mode : {Mode::kBaseline, Mode::kWriteEfficient}) {
+    auto pts = make_points(Dist::kUniform, 5000, 41);
+    auto mesh = triangulate(pts, mode);
+    size_t created = mesh->num_created();
+    size_t dead = 0;
+    for (uint32_t t = 0; t < created; ++t) {
+      const Triangle& tr = mesh->tri(t);
+      if (tr.alive.load()) {
+        EXPECT_EQ(tr.child_n, 0u) << "alive triangle " << t;
+        continue;
+      }
+      ++dead;
+      ASSERT_GE(tr.child_n, 3u) << "dead triangle " << t;
+      ASSERT_GT(tr.child_lo, t) << "dead triangle " << t;
+      ASSERT_LE(size_t{tr.child_lo} + tr.child_n, created)
+          << "dead triangle " << t;
+    }
+    EXPECT_EQ(dead + mesh->alive_triangles().size(), created);
+  }
+}
+
+TEST(Delaunay, StatsMatchSerialGolden) {
+  // Captured at WEG_NUM_THREADS=1; the p=1/2/8 reruns of this suite (see
+  // tests/CMakeLists.txt) make every field a cross-worker-count check. The
+  // reservation rounds pick the same winners at any worker count, so the
+  // retries, descent steps and cavity sizes repeat exactly.
+  struct Golden {
+    Mode mode;
+    uint64_t reads, writes, history_steps, cavity_triangles;
+    size_t retries, triangles_created, sub_rounds;
+  };
+  const Golden goldens[] = {
+      {Mode::kBaseline, 8471700, 7842628, 1051935, 79587, 612610, 119588, 203},
+      {Mode::kWriteEfficient, 3326571, 2231585, 593584, 79587, 154259, 119588,
+       243},
+  };
+  auto pts = make_points(Dist::kUniform, 20000, 37);
+  for (const Golden& g : goldens) {
+    DTStats st;
+    triangulate(pts, g.mode, &st);
+    EXPECT_EQ(st.cost.reads, g.reads);
+    EXPECT_EQ(st.cost.writes, g.writes);
+    EXPECT_EQ(st.history_steps, g.history_steps);
+    EXPECT_EQ(st.cavity_triangles, g.cavity_triangles);
+    EXPECT_EQ(st.retries, g.retries);
+    EXPECT_EQ(st.triangles_created, g.triangles_created);
+    EXPECT_EQ(st.sub_rounds, g.sub_rounds);
+  }
+}
+
+TEST(DelaunayDeathTest, PoolExhaustionAbortsInEveryBuildType) {
+  // A pool with room for the bounding triangle only: the first fan must
+  // abort loudly instead of writing past the pool.
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  std::vector<geom::GridPoint> verts = {{10, 10, 0},
+                                        {-100, -100, 1},
+                                        {300, -100, 2},
+                                        {-100, 300, 3}};
+  EXPECT_DEATH(
+      {
+        Mesh mesh(verts, 1);
+        uint32_t root = mesh.init_bounding(1, 2, 3);
+        std::vector<uint32_t> dead;
+        std::vector<Mesh::Boundary> boundary;
+        mesh.cavity(0, root, dead, boundary);
+        mesh.retriangulate(0, dead, boundary);
+      },
+      "triangle pool exhausted");
 }
 
 TEST(Quantize, PreservesOrderDropsDuplicates) {

@@ -124,6 +124,64 @@ TEST(IncrementalSort, AlreadySortedInput) {
   EXPECT_EQ(incremental_sort_classic(keys), ref);
 }
 
+// Goldens for the order-returning WE sort: FNV-1a of the permutation and
+// the exact asym counts. They pin the tracing kernel's block edges (n below
+// the lane width, n not a multiple of it) and a tiny cutoff that freezes
+// nodes while other keys of the same block are still tracing. The p=1/2/8
+// reruns of this suite (tests/CMakeLists.txt) make them a cross-worker-count
+// determinism check as well.
+uint64_t fnv1a(const std::vector<uint32_t>& v) {
+  uint64_t h = 1469598103934665603ULL;
+  for (uint32_t w : v) {
+    for (int b = 0; b < 4; ++b) {
+      h = (h ^ ((w >> (8 * b)) & 0xFF)) * 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+struct OrderGolden {
+  size_t n;
+  uint64_t range;
+  size_t cutoff;
+  uint64_t fingerprint;
+  uint64_t reads, writes;
+  size_t postponed;
+};
+
+class OrderGoldens : public ::testing::TestWithParam<OrderGolden> {};
+
+TEST_P(OrderGoldens, PermutationAndCountsArePinned) {
+  const OrderGolden& g = GetParam();
+  auto keys = random_vec(g.n, 10 + g.n, g.range);
+  SortStats st;
+  auto order = incremental_sort_we_order(keys, &st, g.cutoff);
+  ASSERT_EQ(order.size(), g.n);
+  for (size_t i = 1; i < order.size(); ++i) {
+    ASSERT_TRUE(keys[order[i - 1]] < keys[order[i]] ||
+                (keys[order[i - 1]] == keys[order[i]] &&
+                 order[i - 1] < order[i]));
+  }
+  EXPECT_EQ(fnv1a(order), g.fingerprint);
+  EXPECT_EQ(st.cost.reads, g.reads);
+  EXPECT_EQ(st.cost.writes, g.writes);
+  EXPECT_EQ(st.postponed, g.postponed);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LaneEdges, OrderGoldens,
+    ::testing::Values(
+        // n below the lane width: every tracing block is partial.
+        OrderGolden{11, 0, 0, 13690292737311217736ULL, 107, 132, 0},
+        // n not a multiple of the lane width; duplicate keys build long
+        // equal-key chains, so some buckets freeze at the default cutoff.
+        OrderGolden{50021, 1000, 0, 4649528284405249254ULL, 4693410, 260317,
+                    4994},
+        // cutoff 2 freezes bucket roots mid-round: later lanes of a block
+        // meet frozen nodes and are postponed.
+        OrderGolden{20007, 0, 2, 10798640866624940874ULL, 1259620, 159057,
+                    11387}));
+
 TEST(DoubleToSortable, MonotoneOverDoubles) {
   primitives::Rng rng(9);
   std::vector<double> ds;
