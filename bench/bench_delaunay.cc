@@ -23,6 +23,8 @@ void run_mode(benchmark::State& state, delaunay::Mode mode) {
   state.counters["cavity_per_pt"] =
       double(st.cavity_triangles) / double(st.points_inserted);  // |S| proxy
   state.counters["sub_rounds"] = double(st.sub_rounds);
+  state.counters["retries_per_pt"] =
+      double(st.retries) / double(st.points_inserted);  // lost reservations
 }
 
 void BM_DelaunayBaseline(benchmark::State& state) {

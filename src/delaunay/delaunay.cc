@@ -37,6 +37,11 @@ struct PerPoint {
 // while these are uncounted bookkeeping over subranges/scratch.
 constexpr size_t kBlock = primitives::kBlockSize;
 
+// Reservation prefix: each sub-round, the first max(kMinPrefix, inserted /
+// kPrefixDivisor) active points attempt insertion. Both modes share it.
+constexpr size_t kMinPrefix = 64;
+constexpr size_t kPrefixDivisor = 32;
+
 }  // namespace
 
 std::vector<geom::GridPoint> quantize(const std::vector<geom::Point2>& pts,
@@ -132,14 +137,16 @@ std::unique_ptr<Mesh> triangulate(const std::vector<geom::GridPoint>& pts,
     size_t inserted_in_batch = 0;
     while (!active.empty()) {
       ++local.sub_rounds;
-      // Only a prefix of the active points proportional to the current mesh
-      // size attempts insertion this round (the standard deterministic-
-      // reservation prefix): waiting points do no work and incur no traffic,
-      // and their eventual descent visits the same history nodes regardless
-      // of when it runs, so the per-mode write accounting is unchanged.
-      size_t attempt = std::min(
-          active.size(),
-          std::max<size_t>(64, 2 * (blo + inserted_in_batch) + 2));
+      // Deterministic-reservation prefix (Blelloch, Fineman, Gibbons and
+      // Shun, PPoPP 2012). It is a function of the inserted count alone,
+      // never of the worker count, so the winners and every counted access
+      // repeat at any WEG_NUM_THREADS. Its size sets the cost: a point that
+      // loses a reservation is charged its reservation writes and reads,
+      // and pays again for its descent and cavity in the next sub-round. A
+      // prefix of a small fraction of the mesh keeps such losses rare.
+      size_t prefix =
+          std::max(kMinPrefix, (blo + inserted_in_batch) / kPrefixDivisor);
+      size_t attempt = std::min(active.size(), prefix);
       parallel::parallel_for(0, attempt, [&](size_t i) {
         uint32_t p = active[i];
         PerPoint& st = state[p];
@@ -197,10 +204,10 @@ std::unique_ptr<Mesh> triangulate(const std::vector<geom::GridPoint>& pts,
         }
         if (win) {
           for (const auto& b : st.boundary) {
+            if (b.outside == kNoTri) continue;  // hull edge: nothing to read
             asym::count_read();
-            if (b.outside != kNoTri &&
-                mesh->tri(b.outside).reserve.load(std::memory_order_acquire) !=
-                    p) {
+            if (mesh->tri(b.outside).reserve.load(std::memory_order_acquire) !=
+                p) {
               win = false;
               break;
             }

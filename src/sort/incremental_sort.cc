@@ -425,8 +425,10 @@ std::unique_ptr<Tree> build_we_tree(const std::vector<uint64_t>& keys,
     // Step 3 — resolve each bucket locally: sequential BST insertion in
     // priority order starting at the bucket slot (one write per placement).
     // A bucket whose chain exceeds `cutoff` levels freezes its subtree root
-    // and postpones the rest.
-    std::vector<std::vector<uint32_t>> postponed_per_group(groups.size() - 1);
+    // and postpones the rest. The round's elements are exactly the ids
+    // [lo, hi), so postponed ones are flagged by id and packed in ascending
+    // order: the postponed list comes out sorted without a sort.
+    std::vector<uint8_t> is_postponed(hi - lo, 0);
     parallel::parallel_for(
         0, groups.size() - 1,
         [&](size_t g) {
@@ -434,22 +436,22 @@ std::unique_ptr<Tree> build_we_tree(const std::vector<uint64_t>& keys,
           uint64_t bucket = traced[glo].bucket;
           if (bucket == kPostponed) {
             for (size_t i = glo; i < ghi; ++i) {
-              postponed_per_group[g].push_back(traced[i].elem);
+              is_postponed[traced[i].elem - lo] = 1;
             }
             return;
           }
-          // Bucket contents fit in symmetric memory whp (O(log^2 n)); sort by
-          // priority there.
-          std::vector<uint32_t> elems;
-          elems.reserve(ghi - glo);
-          for (size_t i = glo; i < ghi; ++i) elems.push_back(traced[i].elem);
-          std::sort(elems.begin(), elems.end());
+          // Bucket contents fit in symmetric memory whp (O(log^2 n)); sort
+          // them by priority in place.
+          std::sort(traced.begin() + glo, traced.begin() + ghi,
+                    [](const Traced& x, const Traced& y) {
+                      return x.elem < y.elem;
+                    });
           uint32_t bucket_root = kEmpty;
           bool frozen = false;
-          for (size_t i = 0; i < elems.size(); ++i) {
-            uint32_t e = elems[i];
+          for (size_t i = glo; i < ghi; ++i) {
+            uint32_t e = traced[i].elem;
             if (frozen) {
-              postponed_per_group[g].push_back(e);
+              is_postponed[e - lo] = 1;
               continue;
             }
             if (bucket_root == kEmpty) {
@@ -467,7 +469,7 @@ std::unique_ptr<Tree> build_we_tree(const std::vector<uint64_t>& keys,
                 asym::count_write();
                 tree.nodes[bucket_root].frozen.store(
                     true, std::memory_order_relaxed);
-                postponed_per_group[g].push_back(e);
+                is_postponed[e - lo] = 1;
                 break;
               }
               asym::count_read(2);
@@ -486,15 +488,14 @@ std::unique_ptr<Tree> build_we_tree(const std::vector<uint64_t>& keys,
           }
         },
         1);
-    for (auto& pg : postponed_per_group) {
-      postponed.insert(postponed.end(), pg.begin(), pg.end());
+    for (size_t i = lo; i < hi; ++i) {
+      if (is_postponed[i - lo]) postponed.push_back(static_cast<uint32_t>(i));
     }
   }
 
   // Final round: insert all postponed keys with the classic algorithm.
   size_t num_postponed = postponed.size();
   if (!postponed.empty()) {
-    std::sort(postponed.begin(), postponed.end());
     total_rounds += classic_rounds(tree, std::move(postponed));
   }
   *total_rounds_out = total_rounds;

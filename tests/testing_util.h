@@ -3,11 +3,14 @@
 // same binary always sees the same inputs.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "src/augtree/priority_tree.h"
+#include "src/delaunay/mesh.h"
 #include "src/geom/point.h"
 #include "src/primitives/random.h"
 
@@ -52,6 +55,30 @@ inline std::vector<augtree::PPoint> random_ppoints(size_t n, uint64_t seed,
     }
   }
   return pts;
+}
+
+// FNV-1a fingerprint of a mesh's canonical alive-triangle set: each triple
+// rotated smallest vertex first (orientation kept), the triples sorted, then
+// every vertex id hashed byte by byte. Under symbolic perturbation the
+// Delaunay triangulation is unique, so the fingerprint pins the output
+// independently of the history, the schedule and the insertion rounds.
+inline uint64_t alive_triangle_fingerprint(const delaunay::Mesh& mesh) {
+  std::vector<std::array<uint32_t, 3>> tris;
+  for (uint32_t t : mesh.alive_triangles()) {
+    const auto& v = mesh.tri(t).v;
+    size_t k = size_t(std::min_element(v, v + 3) - v);
+    tris.push_back({v[k], v[(k + 1) % 3], v[(k + 2) % 3]});
+  }
+  std::sort(tris.begin(), tris.end());
+  uint64_t h = 1469598103934665603ULL;
+  for (const auto& tri : tris) {
+    for (uint32_t w : tri) {
+      for (int b = 0; b < 4; ++b) {
+        h = (h ^ ((w >> (8 * b)) & 0xFF)) * 1099511628211ULL;
+      }
+    }
+  }
+  return h;
 }
 
 }  // namespace weg::testing
