@@ -1,16 +1,19 @@
 // Sharded serving layer throughput: queries/sec and updates/sec versus
-// shard fanout (1/2/4/8) x batch size. The BM_Sharded* query rows broadcast
-// one batch to every shard in parallel (each shard runs the two-phase
-// engine over its subset) and merge the slices by offset arithmetic; the
-// BM_Planned* rows run the same batches under Routing::kRange, where the
-// shard-pruning planner routes each query only to its overlapping shards.
-// Every query row reports a shards_visited_per_query counter: broadcast
-// rows sit exactly at the fanout, planned rows below it — the gap is the
-// fan-out work the planner saves. Fanout 1 is the unsharded baseline, so
-// sharding overhead / speedup is the fanout-1 row over the fanout-S row at
-// equal batch size. The commit rows measure the epoch API: stage one insert
-// batch + one erase batch, then commit (every shard applies its share via
-// bulk_insert/bulk_erase in parallel). run_benches.sh records
+// shard fanout (1/2/4/8) x batch size. Every query row plans its batch
+// against the shards' coverage boxes, runs one sub-batch per visited shard
+// in parallel (each shard runs the two-phase engine over its subset) and
+// merges the slices by offset arithmetic. The BM_Sharded* rows route
+// records by hash, so the boxes overlap and queries visit nearly every
+// shard; the BM_Planned* rows run the same batches under Routing::kRange,
+// where disjoint ranges let the planner prune. Every query row reports a
+// shards_visited_per_query counter: hash rows sit at the fanout (for kNN,
+// the seed round and the second round together), range rows well below it —
+// the gap is the fan-out work range routing saves. Fanout 1 is the
+// unsharded baseline, so sharding overhead / speedup is the fanout-1 row
+// over the fanout-S row at equal batch size. The commit rows measure the
+// epoch API: stage one insert batch + one erase batch, then commit (every
+// shard applies its share via bulk_insert/bulk_erase in parallel).
+// run_benches.sh records
 // BENCH_sharded.json plus a WEG_NUM_THREADS=1 baseline
 // (BENCH_sharded_serial.json) for the parallel-speedup trajectory.
 #include <benchmark/benchmark.h>
@@ -80,9 +83,9 @@ Sharded<LogForest<2>>& forest_index_routed(size_t fanout) {
   return *slot;
 }
 
-// Surfaces shard visits per planned query over the timed loop: broadcast
-// rows report exactly the fanout, planner rows however many shards the
-// bounds couldn't prune.
+// Surfaces shard visits per planned query over the timed loop: however
+// many shards the coverage boxes couldn't prune (about the fanout under
+// hash routing, fewer under range routing).
 template <typename Index>
 class VisitCounter {
  public:
@@ -329,9 +332,9 @@ BENCHMARK(BM_ShardedCommitForest)
 int main(int argc, char** argv) {
   weg::bench::banner(
       "Sharded serving layer (queries/sec and updates/sec vs fanout)",
-      "Key-space sharding above the two-phase batch engine: shard-parallel "
-      "broadcast (BM_Sharded*) vs range-routed planner (BM_Planned*, with "
-      "shards_visited_per_query), offset-arithmetic merge, epoch-versioned "
+      "Key-space sharding above the two-phase batch engine: hash-routed "
+      "(BM_Sharded*) vs range-routed (BM_Planned*) shards under one planner "
+      "(shards_visited_per_query), offset-arithmetic merge, epoch-versioned "
       "bulk commits; fanout 1 is the unsharded baseline.");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

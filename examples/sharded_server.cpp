@@ -28,7 +28,8 @@
 //
 // The routing argument picks the shard policy: "range" (default) gives the
 // shard-pruning planner contiguous per-shard key ranges; "hash" spreads
-// records uniformly and broadcasts query batches.
+// records uniformly, so overlapping shard bounds send most queries to
+// every shard.
 //
 //   ./examples/sharded_server [events] [fanout] [rounds] [range|hash]
 #include <algorithm>

@@ -89,25 +89,6 @@ class LogForest {
   std::vector<Point> knn(const Point& q, size_t k,
                          const QueryOptions& opts = {}) const;
 
-  // Deprecated QueryStats* shims (kept for one PR; migrate to
-  // QueryOptions{stats}).
-  [[deprecated("pass QueryOptions{stats} instead")]]
-  size_t range_count(const Box& query, QueryStats* qs) const {
-    return range_count(query, QueryOptions{qs});
-  }
-  [[deprecated("pass QueryOptions{stats} instead")]]
-  std::vector<Point> range_report(const Box& query, QueryStats* qs) const {
-    return range_report(query, QueryOptions{qs});
-  }
-  [[deprecated("pass QueryOptions{stats} instead")]]
-  std::optional<Point> ann(const Point& q, double eps, QueryStats* qs) const {
-    return ann(q, eps, QueryOptions{qs});
-  }
-  [[deprecated("pass QueryOptions{stats} instead")]]
-  std::vector<Point> knn(const Point& q, size_t k, QueryStats* qs) const {
-    return knn(q, k, QueryOptions{qs});
-  }
-
   // Batched queries on the shared two-phase engine (the unified contract —
   // see docs/ARCHITECTURE.md "Count augmentation & pruning").
   std::vector<size_t> range_count_batch(const std::vector<Box>& qs,
@@ -235,21 +216,6 @@ class DynamicKdTree {
   // non-finite query yields none.
   std::vector<Point> knn(const Point& q, size_t k,
                          const QueryOptions& opts = {}) const;
-
-  // Deprecated QueryStats* shims (kept for one PR; migrate to
-  // QueryOptions{stats}).
-  [[deprecated("pass QueryOptions{stats} instead")]]
-  size_t range_count(const Box& query, QueryStats* qs) const {
-    return range_count(query, QueryOptions{qs});
-  }
-  [[deprecated("pass QueryOptions{stats} instead")]]
-  std::vector<Point> range_report(const Box& query, QueryStats* qs) const {
-    return range_report(query, QueryOptions{qs});
-  }
-  [[deprecated("pass QueryOptions{stats} instead")]]
-  std::optional<Point> ann(const Point& q, double eps, QueryStats* qs) const {
-    return ann(q, eps, QueryOptions{qs});
-  }
 
   // Batched queries on the shared two-phase engine (the unified contract —
   // see docs/ARCHITECTURE.md "Count augmentation & pruning").

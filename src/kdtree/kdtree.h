@@ -46,9 +46,7 @@ struct QueryStats {
 };
 
 // The one options bag threaded through every query entry point (serial and
-// batch) of the k-d family. Replaces the old `QueryStats* qs = nullptr`
-// trailing pointer; thin deprecated shims keep the pointer spelling alive
-// for one PR.
+// batch) of the k-d family; its `stats` member collects QueryStats.
 struct QueryOptions {
   QueryStats* stats = nullptr;
   // Kill-switch for the covered-subtree fast path (A/B benching: off
@@ -153,25 +151,6 @@ class KdTree {
   // k nearest neighbors (exact), returned sorted by distance.
   std::vector<size_t> knn(const Point& q, size_t k,
                           const QueryOptions& opts = {}) const;
-
-  // Deprecated QueryStats* shims (kept for one PR; migrate to
-  // QueryOptions{stats}).
-  [[deprecated("pass QueryOptions{stats} instead")]]
-  size_t range_count(const Box& query, QueryStats* qs) const {
-    return range_count(query, QueryOptions{qs});
-  }
-  [[deprecated("pass QueryOptions{stats} instead")]]
-  std::vector<Point> range_report(const Box& query, QueryStats* qs) const {
-    return range_report(query, QueryOptions{qs});
-  }
-  [[deprecated("pass QueryOptions{stats} instead")]]
-  size_t ann(const Point& q, double eps, QueryStats* qs) const {
-    return ann(q, eps, QueryOptions{qs});
-  }
-  [[deprecated("pass QueryOptions{stats} instead")]]
-  std::vector<size_t> knn(const Point& q, size_t k, QueryStats* qs) const {
-    return knn(q, k, QueryOptions{qs});
-  }
 
   // --- batched queries (shared two-phase engine) -----------------------
   //

@@ -31,9 +31,9 @@ namespace weg::parallel {
 // Flat result of a batched reporting query: all queries' items concatenated,
 // with offsets() delimiting query i's slice as [offsets()[i], offsets()[i+1]).
 // Because a slice is addressed purely by offset arithmetic, results compose:
-// the sharded layer merges per-shard BatchResults (broadcast or
-// planner-routed sub-batches alike) by summing per-query counts, re-scanning,
-// and concatenating slices — without this class knowing about shards.
+// the sharded layer merges per-shard BatchResults (planner-routed
+// sub-batches) by summing per-query counts, re-scanning, and concatenating
+// slices — without this class knowing about shards.
 //
 // Error propagation: a result carries a Status (OK by default). A producer
 // that fails mid-pipeline — a poisoned per-shard sub-batch under fault

@@ -6,46 +6,44 @@
 // one shard, so updates touch one instance and the instances share no
 // state — shard-level work fans out on the scheduler with no locking.
 //
-// Routing policies (Routing ctor parameter, hash is the default):
-//  * Routing::kHash — route_key(rec) is hashed; records spread uniformly
-//    and every query batch is broadcast to all S shards.
+// Routing policies (Routing ctor parameter, hash is the default) decide
+// only where a record lives:
+//  * Routing::kHash — route_key(rec) is hashed; records spread uniformly.
 //  * Routing::kRange — the ordered partition key (interval left endpoint;
 //    point coordinate along ShardTraits::kSplitDim) is split into S
-//    contiguous ranges seeded from a sample of the first insert batch.
-//    Each shard tracks conservative coverage bounds [lo, hi] along the
-//    partition axis (extended on insert, never shrunk by erase, recomputed
-//    exactly on rebalance), and a planner step inside each *_batch wrapper
-//    routes every query only to the shards whose coverage can answer it:
-//    stab point in [lo, hi]; query-rectangle slab against the shard slab;
-//    kNN/ANN best-first — seed the nearest shard by slab distance, then
-//    visit every other shard whose slab distance does not exceed the
-//    current k-th (resp. best) candidate distance. The batch is semisorted
-//    by target-shard set (primitives::semisort), one targeted sub-batch is
-//    issued per shard, and the per-shard slices merge through the same
-//    offset arithmetic as the broadcast path. At commit() the layer
-//    collects per-shard load stats (live records + queries routed since
-//    the previous commit) and rebalances skewed bounds — recomputing the
-//    quantile split points over the live key set (splitting overloaded
-//    ranges, merging underused neighbors) and migrating the records whose
-//    shard changed — before publishing the version.
+//    contiguous ranges seeded from a sample of the first insert batch. At
+//    commit() the layer collects per-shard load stats (live records +
+//    queries routed since the previous commit) and rebalances skewed bounds
+//    — recomputing the quantile split points over the live key set and
+//    migrating the records whose shard changed — before publishing.
 //
-// Queries: every batched query family the structure exposes is re-exposed
-// here. Broadcast (hash) batches go to all S shards in parallel; planned
-// (range) batches go to each query's overlapping-shard set. Either way the
-// per-shard BatchResult slices are merged into one flat result by pure
-// offset arithmetic: merged count(q) = sum over visited shards of
-// count_s(q), an exclusive scan turns the counts into slice offsets, and
-// each merged slice is filled by concatenating the shard slices. Each
-// merged slice is then put into a canonical order — ascending ids for
-// stabbing, lexicographic coordinates for range reports, (distance,
-// coordinates) for kNN/ANN — so the merged result is a function of the
-// *record set* alone: every routing policy, every fanout, and every worker
-// count returns bitwise-identical items (shards a planner prunes provably
-// contribute nothing), and the merge's and planner's asym read/write
-// charges are bulk functions of the batch and slice sizes (the same
-// determinism contract the per-shard engines provide). kNN/ANN merge via a
-// top-k (top-1) reduce over the per-shard candidate slices instead of
-// plain concatenation.
+// Queries take one path under both policies. Each shard tracks a
+// conservative coverage box (extended on insert, never shrunk by erase,
+// recomputed exactly on a range rebalance), and every *_batch wrapper plans
+// before it runs: each query is routed only to the live shards whose
+// coverage can answer it — stab point inside the box; query-rectangle slab
+// against the shard slab; kNN/ANN best-first, seeding the nearest shard by
+// cover-box distance and then visiting every other shard whose distance
+// does not exceed the seed's k-th (resp. best) candidate distance. The
+// batch is semisorted by target-shard set (primitives::semisort), one
+// targeted sub-batch runs per shard, all shards in parallel, and the
+// per-shard BatchResult slices merge into one flat result by pure offset
+// arithmetic: merged count(q) = sum over visited shards of count_s(q), an
+// exclusive scan turns the counts into slice offsets, and each merged slice
+// is filled by concatenating the shard slices. Each merged slice is then
+// put into a canonical order — ascending ids for stabbing, lexicographic
+// coordinates for range reports, (distance, coordinates) for kNN/ANN — so
+// the merged result is a function of the *record set* alone: every routing
+// policy, every fanout, and every worker count returns bitwise-identical
+// items (shards the planner prunes provably contribute nothing). The
+// planner's and merge's asym read/write charges are bulk functions of the
+// batch, the coverage boxes and the slice sizes, so asym totals are
+// identical at every worker count (not across policies or fanouts: those
+// change which shards a query visits). kNN/ANN merge via a top-k (top-1)
+// reduce over the per-shard candidate slices instead of plain
+// concatenation. Hash-routed coverage boxes overlap, so hash batches
+// usually visit every live shard; range-routed boxes are disjoint along
+// the partition axis, so selective queries visit few.
 //
 // Epoch API: a serving loop alternates write batches and query batches
 // without external locking by staging updates on the Sharded layer —
@@ -87,6 +85,8 @@
 #include <limits>
 #include <memory>
 #include <new>
+#include <numeric>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <unordered_set>
@@ -105,9 +105,11 @@
 
 namespace weg::parallel {
 
-// How records and queries map to shards. kHash spreads records uniformly
-// and broadcasts queries; kRange partitions the ordered key space so the
-// planner can prune shards per query.
+// How records map to shards. kHash spreads records uniformly; kRange
+// partitions the ordered key space into contiguous, rebalanced ranges, so
+// shard coverage boxes stay disjoint along the partition axis and the
+// planner can prune shards per query. Queries are planned the same way
+// under both.
 enum class Routing { kHash, kRange };
 
 // splitmix64 finalizer: the router's hash. Fanout is typically a small
@@ -262,13 +264,12 @@ class Sharded {
       : Sharded(Routing::kHash, fanout, args...) {}
 
   // Routing-policy-selecting constructor; Routing::kHash reproduces the
-  // default behavior exactly.
+  // default behavior exactly. Fanout is clamped to [1, 64]: planner shard
+  // sets are 64-bit masks.
   template <typename... Args>
   Sharded(Routing routing, size_t fanout, const Args&... args)
       : routing_(routing) {
-    if (fanout == 0) fanout = 1;
-    // Planner shard sets are 64-bit masks.
-    if (routing_ == Routing::kRange && fanout > 64) fanout = 64;
+    fanout = std::clamp<size_t>(fanout, 1, 64);
     shards_.reserve(fanout);
     for (size_t s = 0; s < fanout; ++s) shards_.emplace_back(args...);
     cover_.assign(fanout, empty_cover());
@@ -282,7 +283,7 @@ class Sharded {
   Routing routing() const { return routing_; }
   size_t shard_of(const Record& rec) const {
     if (routing_ == Routing::kRange && bounds_built_) {
-      return shard_by_key(Traits::partition_key(rec));
+      return shard_by_key_in(splits_, Traits::partition_key(rec));
     }
     return Traits::route_key(rec) % shards_.size();
   }
@@ -305,8 +306,8 @@ class Sharded {
   size_t rebalances() const { return rebalances_; }
 
   // Routing telemetry: queries planned and shard visits issued since
-  // construction, over every batch wrapper (broadcast batches visit all S
-  // shards per query; planned batches visit each query's overlap set).
+  // construction, over every batch wrapper (each query visits its overlap
+  // set; kNN/ANN count both routing rounds' visits).
   // shards-visited-per-query = planner_shard_visits() / planner_queries().
   uint64_t planner_queries() const {
     return planner_queries_.load(std::memory_order_relaxed);
@@ -434,64 +435,45 @@ class Sharded {
   // All wrappers are member templates constrained on the wrapped structure
   // actually exposing the family, so Sharded<DynamicIntervalTree> has stab
   // entry points and Sharded<LogForest<2>> has the spatial ones. Each
-  // wrapper broadcasts under hash routing and plans under range routing.
+  // wrapper plans the batch, runs one sub-batch per visited shard, and
+  // merges the slices, under either routing policy.
 
   template <typename Q>
   auto stab_batch(const std::vector<Q>& qs) const
     requires requires(const Structure& s) { s.stab_batch(qs); }
   {
-    if (!use_planner()) {
-      note_broadcast(qs.size());
-      return merge_report(
-          qs.size(), [&](const Structure& s) { return s.stab_batch(qs); },
-          detail::IdLess{});
-    }
     Plan plan =
         plan_batch(qs.size(), [&](size_t i) { return stab_mask(qs[i]); });
-    note_plan(plan, qs.size());
     auto per = run_planned(plan, qs,
                            [](const Structure& s, const std::vector<Q>& sub) {
                              return s.stab_batch(sub);
                            });
-    return merge_planned_report(plan, per, qs.size(), detail::IdLess{});
+    return merge_slices(plan, per, qs.size(), detail::IdLess{});
   }
 
   template <typename Q>
   auto stab_count_batch(const std::vector<Q>& qs) const
     requires requires(const Structure& s) { s.stab_count_batch(qs); }
   {
-    if (!use_planner()) {
-      note_broadcast(qs.size());
-      return merge_count(qs.size(), [&](const Structure& s) {
-        return s.stab_count_batch(qs);
-      });
-    }
     Plan plan =
         plan_batch(qs.size(), [&](size_t i) { return stab_mask(qs[i]); });
-    note_plan(plan, qs.size());
     auto per = run_planned(plan, qs,
                            [](const Structure& s, const std::vector<Q>& sub) {
                              return s.stab_count_batch(sub);
                            });
-    return merge_planned_count(plan, per, qs.size());
+    return merge_sums(plan, per, qs.size());
   }
 
   template <typename B>
   auto range_count_batch(const std::vector<B>& qs) const
     requires requires(const Structure& s) { s.range_count_batch(qs); }
   {
-    if (!use_planner()) {
-      note_broadcast(qs.size());
-      return merge_count(qs.size(), [&](const Structure& s) {
-        return s.range_count_batch(qs);
-      });
-    }
     constexpr int d0 = Traits::kSplitDim;
     // Covered-shard fast path: a query box that fully covers a shard's
     // cover box is answered by that shard's live-record count up front —
     // the query is never routed there, so the shard's trees are not read at
     // all. The remaining (partially overlapping) shards are planned as
-    // before. cover ⊇ live records, so the summed result is exact.
+    // usual. cover ⊇ live records, so the summed result is exact.
     std::vector<size_t> covered_base(qs.size(), 0);
     Plan plan = plan_batch(qs.size(), [&](size_t i) {
       uint64_t m = slab_mask(qs[i].lo[d0], qs[i].hi[d0]);
@@ -509,12 +491,11 @@ class Sharded {
     // One write per query for its covered-shard base count (the coverage
     // tests ride plan_batch's nq * S bulk read).
     asym::count_write(qs.size());
-    note_plan(plan, qs.size());
     auto per = run_planned(plan, qs,
                            [](const Structure& s, const std::vector<B>& sub) {
                              return s.range_count_batch(sub);
                            });
-    auto out = merge_planned_count(plan, per, qs.size());
+    auto out = merge_sums(plan, per, qs.size());
     asym::count_read(qs.size());
     asym::count_write(qs.size());
     for (size_t q = 0; q < qs.size(); ++q) out[q] += covered_base[q];
@@ -525,34 +506,23 @@ class Sharded {
   auto range_report_batch(const std::vector<B>& qs) const
     requires requires(const Structure& s) { s.range_report_batch(qs); }
   {
-    if (!use_planner()) {
-      note_broadcast(qs.size());
-      return merge_report(
-          qs.size(),
-          [&](const Structure& s) { return s.range_report_batch(qs); },
-          detail::CoordLess{});
-    }
     constexpr int d0 = Traits::kSplitDim;
     Plan plan = plan_batch(qs.size(), [&](size_t i) {
       return slab_mask(qs[i].lo[d0], qs[i].hi[d0]);
     });
-    note_plan(plan, qs.size());
     auto per = run_planned(plan, qs,
                            [](const Structure& s, const std::vector<B>& sub) {
                              return s.range_report_batch(sub);
                            });
-    return merge_planned_report(plan, per, qs.size(), detail::CoordLess{});
+    return merge_slices(plan, per, qs.size(), detail::CoordLess{});
   }
 
   // k-NN: each visited shard reports its min(k, shard-live) nearest
   // candidates in the canonical (distance, coordinates) order; the merge
   // keeps the k best per query, so the merged slice equals the unsharded
-  // structure's min(k, live) nearest in the same order. The planner seeds
-  // each query at its nearest shard (by slab distance along the partition
-  // axis), then visits every other shard whose slab distance does not
-  // exceed the current k-th candidate distance — a pruned shard's every
-  // point is provably farther, so the routed top-k is bitwise-identical to
-  // the broadcast top-k.
+  // structure's min(k, live) nearest in the same order. Routing is
+  // route_nearest's two rounds, with the seed shard's k-th candidate
+  // distance as the pruning threshold.
   template <typename P>
   auto knn_batch(const std::vector<P>& qs, size_t k) const
     requires requires(const Structure& s) { s.knn_batch(qs, k); }
@@ -562,103 +532,28 @@ class Sharded {
             qs, k))>;
     using T = typename Result::value_type;
     size_t nq = qs.size();
-    if (!use_planner()) {
-      note_broadcast(nq);
-      auto per = run_shards([&](const Structure& s) {
-        return s.knn_batch(qs, k);
-      });
-      if (Status poison = first_poison(per); !poison.ok()) {
-        return BatchResult<T>(std::move(poison));
-      }
-      std::vector<size_t> offsets(nq + 1, 0);
-      for (size_t q = 0; q < nq; ++q) {
-        size_t total = 0;
-        for (const Result& r : per) total += r.count(q);
-        offsets[q] = std::min(k, total);
-      }
-      asym::count_read(per.size() * nq);
-      asym::count_write(nq);
-      primitives::scan_exclusive(offsets);
-      std::vector<T> items(offsets[nq]);
-      parallel_for(
-          0, nq,
-          [&](size_t q) {
-            std::vector<std::pair<double, T>> cand;
-            for (const Result& r : per) {
-              for (const T* it = r.begin(q); it != r.end(q); ++it) {
-                cand.emplace_back(geom::squared_distance(*it, qs[q]), *it);
-              }
-            }
-            top_k_into(cand, items.data() + offsets[q],
-                       offsets[q + 1] - offsets[q]);
-          },
-          1);
-      // Candidate gather + winner writes, charged in bulk (deterministic:
-      // slice sizes are functions of the record set and k alone).
-      size_t gathered = 0;
-      for (const Result& r : per) gathered += r.total();
-      asym::count_read(gathered);
-      asym::count_write(items.size());
-      return BatchResult<T>(std::move(items), std::move(offsets));
-    }
-
-    // Round 1: seed each query at its nearest shard by cover-box distance
-    // (ties: lowest id).
-    Plan p0 = plan_batch(nq, [&](size_t i) {
-      return nearest_shard_mask(qs[i]);
-    });
-    note_plan(p0, nq);
-    auto per0 = run_planned(p0, qs,
-                            [&](const Structure& s, const std::vector<P>& sub) {
-                              return s.knn_batch(sub, k);
-                            });
-    if (Status poison = first_poison(per0); !poison.ok()) {
-      return BatchResult<T>(std::move(poison));
-    }
-    // Current k-th candidate distance per query — infinity when the seed
-    // shard cannot supply k candidates (then no shard may be pruned).
-    std::vector<double> thr(nq, std::numeric_limits<double>::infinity());
-    for (size_t q = 0; q < nq; ++q) {
-      if (p0.entries[q].empty()) continue;
-      auto [s, j] = p0.entries[q][0];
-      if (k > 0 && per0[s].count(j) == k) {
-        thr[q] = geom::squared_distance(*(per0[s].end(j) - 1), qs[q]);
-      }
-    }
-    asym::count_read(nq);
-    asym::count_write(nq);
-    // Round 2: every other shard whose cover box could still hold a
-    // candidate at or below the threshold (<=: a tied candidate can win the
-    // canonical order by coordinates). The bound-driven short-circuit: a
-    // shard whose box is farther than the running k-th candidate distance
-    // is never visited.
-    Plan p1 = plan_batch(nq, [&](size_t i) {
-      uint64_t seed = nearest_shard_mask(qs[i]);
-      uint64_t m = 0;
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        if ((seed >> s) & 1) continue;
-        if (!shard_live(s)) continue;
-        if (cover_d2(s, qs[i]) <= thr[i]) m |= uint64_t{1} << s;
-      }
-      return m;
-    });
-    note_plan(p1, 0);
-    auto per1 = run_planned(p1, qs,
-                            [&](const Structure& s, const std::vector<P>& sub) {
-                              return s.knn_batch(sub, k);
-                            });
-    if (Status poison = first_poison(per1); !poison.ok()) {
-      return BatchResult<T>(std::move(poison));
-    }
+    auto rounds = route_nearest(
+        qs,
+        [&](const Structure& s, const std::vector<P>& sub) {
+          return s.knn_batch(sub, k);
+        },
+        // Infinity when the seed shard cannot supply k candidates: then no
+        // shard may be pruned.
+        [&](const Result& r, size_t j, const P& q) {
+          return k > 0 && r.count(j) == k
+                     ? geom::squared_distance(*(r.end(j) - 1), q)
+                     : std::numeric_limits<double>::infinity();
+        });
+    if (!rounds.status.ok()) return BatchResult<T>(std::move(rounds.status));
 
     std::vector<size_t> offsets(nq + 1, 0);
     for (size_t q = 0; q < nq; ++q) {
       size_t total = 0;
-      for (auto [s, j] : p0.entries[q]) total += per0[s].count(j);
-      for (auto [s, j] : p1.entries[q]) total += per1[s].count(j);
+      rounds.for_each(q,
+                      [&](const Result& r, size_t j) { total += r.count(j); });
       offsets[q] = std::min(k, total);
     }
-    asym::count_read(p0.visits + p1.visits);
+    asym::count_read(rounds.visits());
     asym::count_write(nq);
     primitives::scan_exclusive(offsets);
     std::vector<T> items(offsets[nq]);
@@ -668,32 +563,28 @@ class Sharded {
           // Single-shard pass-through: with exactly one visited shard, that
           // shard's slice already is the merged answer in canonical order —
           // copy it, skipping the distance recompute and the merge sort.
-          if (p0.entries[q].size() + p1.entries[q].size() == 1) {
-            const Plan& plan = p0.entries[q].empty() ? p1 : p0;
-            const std::vector<Result>& per =
-                p0.entries[q].empty() ? per1 : per0;
-            auto [s, j] = plan.entries[q][0];
-            std::copy(per[s].begin(j), per[s].end(j),
-                      items.data() + offsets[q]);
+          if (rounds.slots(q) == 1) {
+            rounds.for_each(q, [&](const Result& r, size_t j) {
+              std::copy(r.begin(j), r.end(j), items.data() + offsets[q]);
+            });
             return;
           }
           std::vector<std::pair<double, T>> cand;
-          auto gather = [&](const Plan& plan, const std::vector<Result>& per) {
-            for (auto [s, j] : plan.entries[q]) {
-              for (const T* it = per[s].begin(j); it != per[s].end(j); ++it) {
-                cand.emplace_back(geom::squared_distance(*it, qs[q]), *it);
-              }
+          rounds.for_each(q, [&](const Result& r, size_t j) {
+            for (const T* it = r.begin(j); it != r.end(j); ++it) {
+              cand.emplace_back(geom::squared_distance(*it, qs[q]), *it);
             }
-          };
-          gather(p0, per0);
-          gather(p1, per1);
+          });
           top_k_into(cand, items.data() + offsets[q],
                      offsets[q + 1] - offsets[q]);
         },
         1);
+    // Candidate gather + winner writes, charged in bulk (deterministic:
+    // slice sizes are functions of the record set, the plan and k alone).
     size_t gathered = 0;
-    for (const Result& r : per0) gathered += r.total();
-    for (const Result& r : per1) gathered += r.total();
+    for (const auto& per : rounds.per) {
+      for (const Result& r : per) gathered += r.total();
+    }
     asym::count_read(gathered);
     asym::count_write(items.size());
     return BatchResult<T>(std::move(items), std::move(offsets));
@@ -701,10 +592,9 @@ class Sharded {
 
   // ANN: top-1 reduce — the best shard answer by (distance, coordinates).
   // Each shard answer is a (1+eps)-ANN of its subset, so the reduced answer
-  // is a (1+eps)-ANN of the union; eps = 0 gives the exact NN. The planner
-  // seeds at the nearest shard and visits only shards whose slab distance
-  // does not exceed the seed answer's distance — a pruned shard's answer
-  // would lose the reduce, so the routed answer equals the broadcast one.
+  // is a (1+eps)-ANN of the union; eps = 0 gives the exact NN. Routing is
+  // route_nearest's two rounds, with the seed answer's distance as the
+  // pruning threshold — a pruned shard's answer would lose the reduce.
   template <typename P>
   auto ann_batch(const std::vector<P>& qs, double eps = 0.0) const
     requires requires(const Structure& s) { s.ann_batch(qs, eps); }
@@ -721,71 +611,25 @@ class Sharded {
       double dc = geom::squared_distance(*cur, q);
       return da < dc || (da == dc && (*alt).coords < (*cur).coords);
     };
-    if (!use_planner()) {
-      note_broadcast(nq);
-      auto per = run_shards([&](const Structure& s) {
-        return s.ann_batch(qs, eps);
-      });
-      Vec out(nq);
-      parallel_for(
-          0, nq,
-          [&](size_t q) {
-            for (const Vec& v : per) {
-              if (better(v[q], out[q], qs[q])) out[q] = v[q];
-            }
-          },
-          1);
-      asym::count_read(per.size() * nq);
-      asym::count_write(nq);
-      return out;
-    }
-
-    Plan p0 = plan_batch(nq, [&](size_t i) {
-      return nearest_shard_mask(qs[i]);
-    });
-    note_plan(p0, nq);
-    auto per0 = run_planned(p0, qs,
-                            [&](const Structure& s, const std::vector<P>& sub) {
-                              return s.ann_batch(sub, eps);
-                            });
-    std::vector<double> thr(nq, std::numeric_limits<double>::infinity());
-    for (size_t q = 0; q < nq; ++q) {
-      if (p0.entries[q].empty()) continue;
-      auto [s, j] = p0.entries[q][0];
-      if (per0[s][j].has_value()) {
-        thr[q] = geom::squared_distance(*per0[s][j], qs[q]);
-      }
-    }
-    asym::count_read(nq);
-    asym::count_write(nq);
-    Plan p1 = plan_batch(nq, [&](size_t i) {
-      uint64_t seed = nearest_shard_mask(qs[i]);
-      uint64_t m = 0;
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        if ((seed >> s) & 1) continue;
-        if (!shard_live(s)) continue;
-        if (cover_d2(s, qs[i]) <= thr[i]) m |= uint64_t{1} << s;
-      }
-      return m;
-    });
-    note_plan(p1, 0);
-    auto per1 = run_planned(p1, qs,
-                            [&](const Structure& s, const std::vector<P>& sub) {
-                              return s.ann_batch(sub, eps);
-                            });
+    auto rounds = route_nearest(
+        qs,
+        [&](const Structure& s, const std::vector<P>& sub) {
+          return s.ann_batch(sub, eps);
+        },
+        [&](const Vec& v, size_t j, const P& q) {
+          return v[j].has_value() ? geom::squared_distance(*v[j], q)
+                                  : std::numeric_limits<double>::infinity();
+        });
     Vec out(nq);
     parallel_for(
         0, nq,
         [&](size_t q) {
-          for (auto [s, j] : p0.entries[q]) {
-            if (better(per0[s][j], out[q], qs[q])) out[q] = per0[s][j];
-          }
-          for (auto [s, j] : p1.entries[q]) {
-            if (better(per1[s][j], out[q], qs[q])) out[q] = per1[s][j];
-          }
+          rounds.for_each(q, [&](const Vec& v, size_t j) {
+            if (better(v[j], out[q], qs[q])) out[q] = v[j];
+          });
         },
         1);
-    asym::count_read(p0.visits + p1.visits);
+    asym::count_read(rounds.visits());
     asym::count_write(nq);
     return out;
   }
@@ -806,18 +650,12 @@ class Sharded {
     return c;
   }
 
-  bool use_planner() const {
-    return routing_ == Routing::kRange && bounds_built_;
-  }
   bool shard_live(size_t s) const { return shards_[s].size() > 0; }
 
   static size_t shard_by_key_in(const std::vector<double>& splits,
                                 double key) {
     return static_cast<size_t>(
         std::upper_bound(splits.begin(), splits.end(), key) - splits.begin());
-  }
-  size_t shard_by_key(double key) const {
-    return shard_by_key_in(splits_, key);
   }
 
   // --- planner predicates over the coverage bounds ---------------------
@@ -887,19 +725,32 @@ class Sharded {
 
   // --- the plan ---------------------------------------------------------
 
-  // A routed batch: per shard, the (deterministic) list of query indices
-  // it must answer; per query, the (shard, sub-batch position) slots where
-  // its per-shard answers land. Built by semisorting the batch by
-  // target-shard mask, so queries sharing a shard set are contiguous and
-  // each group is emitted into its shards' sub-batches in one run.
+  // A routed batch in flat (CSR) form: shard s answers the query indices
+  // shard_queries(s), and query q's per-shard answers land at the
+  // (shard, sub-batch position) slots entries(q), in ascending shard order.
   struct Plan {
-    std::vector<std::vector<uint32_t>> shard_queries;
-    std::vector<std::vector<std::pair<uint32_t, uint32_t>>> entries;
+    using Slot = std::pair<uint32_t, uint32_t>;
+    std::vector<size_t> shard_off;  // S + 1 offsets into shard_q
+    std::vector<uint32_t> shard_q;
+    std::vector<size_t> entry_off;  // nq + 1 offsets into entry
+    std::vector<Slot> entry;
     size_t visits = 0;
+
+    std::span<const uint32_t> shard_queries(size_t s) const {
+      return {shard_q.data() + shard_off[s], shard_off[s + 1] - shard_off[s]};
+    }
+    std::span<const Slot> entries(size_t q) const {
+      return {entry.data() + entry_off[q], entry_off[q + 1] - entry_off[q]};
+    }
   };
 
+  // Plans one batch from each query's target-shard mask and records the
+  // routing telemetry (a follow-up round's queries were already counted).
+  // The batch is semisorted by mask, so queries sharing a shard set are
+  // contiguous; one counting pass over the groups sizes the flat arrays and
+  // one fill pass emits each group into its shards' sub-batches in one run.
   template <typename MaskFn>
-  Plan plan_batch(size_t nq, MaskFn&& mask_of) const {
+  Plan plan_batch(size_t nq, MaskFn&& mask_of, bool follow_up = false) const {
     size_t S = shards_.size();
     struct QM {
       uint32_t q;
@@ -924,49 +775,120 @@ class Sharded {
     auto groups =
         primitives::semisort_by(qm, [](const QM& x) { return x.mask; });
     Plan plan;
-    plan.shard_queries.assign(S, {});
-    plan.entries.assign(nq, {});
+    plan.shard_off.assign(S + 1, 0);
+    plan.entry_off.assign(nq + 1, 0);
     for (size_t g = 0; g + 1 < groups.size(); ++g) {
       uint64_t mask = qm[groups[g]].mask;
-      if (mask == 0) continue;
-      for (size_t s = 0; s < S; ++s) {
-        if (!((mask >> s) & 1)) continue;
+      auto width = static_cast<size_t>(std::popcount(mask));
+      size_t len = groups[g + 1] - groups[g];
+      for (uint64_t m = mask; m != 0; m &= m - 1) {
+        plan.shard_off[std::countr_zero(m)] += len;
+      }
+      for (size_t i = groups[g]; i < groups[g + 1]; ++i) {
+        plan.entry_off[qm[i].q] = width;
+      }
+      plan.visits += width * len;
+    }
+    std::exclusive_scan(plan.shard_off.begin(), plan.shard_off.end(),
+                        plan.shard_off.begin(), size_t{0});
+    std::exclusive_scan(plan.entry_off.begin(), plan.entry_off.end(),
+                        plan.entry_off.begin(), size_t{0});
+    plan.shard_q.resize(plan.visits);
+    plan.entry.resize(plan.visits);
+    std::vector<size_t> fill(plan.shard_off.begin(), plan.shard_off.end() - 1);
+    for (size_t g = 0; g + 1 < groups.size(); ++g) {
+      uint64_t mask = qm[groups[g]].mask;
+      uint32_t rank = 0;  // position of shard s among the mask's shards
+      for (uint64_t m = mask; m != 0; m &= m - 1, ++rank) {
+        auto s = static_cast<uint32_t>(std::countr_zero(m));
         for (size_t i = groups[g]; i < groups[g + 1]; ++i) {
-          plan.entries[qm[i].q].push_back(
-              {static_cast<uint32_t>(s),
-               static_cast<uint32_t>(plan.shard_queries[s].size())});
-          plan.shard_queries[s].push_back(qm[i].q);
+          plan.entry[plan.entry_off[qm[i].q] + rank] = {
+              s, static_cast<uint32_t>(fill[s] - plan.shard_off[s])};
+          plan.shard_q[fill[s]++] = qm[i].q;
         }
       }
-      plan.visits += static_cast<size_t>(std::popcount(mask)) *
-                     (groups[g + 1] - groups[g]);
     }
     asym::count_read(plan.visits);
     asym::count_write(plan.visits);
+
+    planner_visits_.fetch_add(plan.visits, std::memory_order_relaxed);
+    if (!follow_up) planner_queries_.fetch_add(nq, std::memory_order_relaxed);
+    for (size_t s = 0; s < S; ++s) {
+      if (size_t n = plan.shard_queries(s).size(); n > 0) {
+        queries_routed_[s].fetch_add(n, std::memory_order_relaxed);
+      }
+    }
     return plan;
   }
 
-  void note_plan(const Plan& plan, size_t new_queries) const {
-    planner_visits_.fetch_add(plan.visits, std::memory_order_relaxed);
-    if (new_queries > 0) {
-      planner_queries_.fetch_add(new_queries, std::memory_order_relaxed);
-    }
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      if (!plan.shard_queries[s].empty()) {
-        queries_routed_[s].fetch_add(plan.shard_queries[s].size(),
-                                     std::memory_order_relaxed);
+  // The kNN/ANN routing rounds and their per-shard results.
+  template <typename R>
+  struct NearestRounds {
+    Status status;
+    Plan plan[2];
+    std::vector<R> per[2];
+
+    // Calls fn(shard result, sub-batch position) for each of query q's
+    // slots, seed round first.
+    template <typename Fn>
+    void for_each(size_t q, Fn&& fn) const {
+      for (int r = 0; r < 2; ++r) {
+        for (auto [s, j] : plan[r].entries(q)) fn(per[r][s], j);
       }
     }
-  }
-
-  void note_broadcast(size_t nq) const {
-    if (nq == 0) return;
-    planner_visits_.fetch_add(nq * shards_.size(),
-                              std::memory_order_relaxed);
-    planner_queries_.fetch_add(nq, std::memory_order_relaxed);
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      queries_routed_[s].fetch_add(nq, std::memory_order_relaxed);
+    size_t slots(size_t q) const {
+      return plan[0].entries(q).size() + plan[1].entries(q).size();
     }
+    size_t visits() const { return plan[0].visits + plan[1].visits; }
+  };
+
+  // Best-first nearest-neighbour routing, shared by knn_batch and
+  // ann_batch. Round 1 seeds each query at its nearest live shard by
+  // cover-box distance (ties: lowest id). `seed_d2(result, j, q)` reads the
+  // pruning threshold off the seed answer. Round 2 visits every other live
+  // shard whose cover box could still hold a candidate at or below the
+  // threshold (<=: a tied candidate can win the canonical order by
+  // coordinates); a pruned shard's every point is provably farther, so the
+  // merged answer equals the one every shard together would give. A
+  // poisoned seed round skips round 2.
+  template <typename P, typename RunSub, typename SeedD2>
+  auto route_nearest(const std::vector<P>& qs, RunSub&& run,
+                     SeedD2&& seed_d2) const {
+    using R =
+        std::invoke_result_t<RunSub&, const Structure&, const std::vector<P>&>;
+    size_t nq = qs.size();
+    NearestRounds<R> rounds;
+    rounds.plan[0] =
+        plan_batch(nq, [&](size_t i) { return nearest_shard_mask(qs[i]); });
+    rounds.per[0] = run_planned(rounds.plan[0], qs, run);
+    rounds.status = first_poison(rounds.per[0]);
+    if (!rounds.status.ok()) return rounds;
+    std::vector<double> thr(nq, std::numeric_limits<double>::infinity());
+    for (size_t q = 0; q < nq; ++q) {
+      for (auto [s, j] : rounds.plan[0].entries(q)) {
+        thr[q] = seed_d2(rounds.per[0][s], j, qs[q]);
+      }
+    }
+    asym::count_read(nq);
+    asym::count_write(nq);
+    rounds.plan[1] = plan_batch(
+        nq,
+        [&](size_t i) {
+          uint64_t m = 0;
+          for (size_t s = 0; s < shards_.size(); ++s) {
+            if (shard_live(s) && cover_d2(s, qs[i]) <= thr[i]) {
+              m |= uint64_t{1} << s;
+            }
+          }
+          for (const auto& seed : rounds.plan[0].entries(i)) {
+            m &= ~(uint64_t{1} << seed.first);
+          }
+          return m;
+        },
+        /*follow_up=*/true);
+    rounds.per[1] = run_planned(rounds.plan[1], qs, run);
+    rounds.status = first_poison(rounds.per[1]);
+    return rounds;
   }
 
   // Runs one targeted sub-batch per visited shard, all shards in parallel
@@ -977,14 +899,12 @@ class Sharded {
   // driven deterministically. Families whose per-shard results carry no
   // Status (counting, ANN) have no poison carrier and skip the check.
   template <typename R>
-  static void maybe_poison(R& result, size_t s) {
+  static void maybe_poison([[maybe_unused]] R& result,
+                           [[maybe_unused]] size_t s) {
     if constexpr (requires { result.set_status(Status::Ok()); }) {
       if (fault::should_fail("query_poison", s)) {
         result.set_status(fault::injected("query_poison", s));
       }
-    } else {
-      (void)result;
-      (void)s;
     }
   }
 
@@ -997,7 +917,7 @@ class Sharded {
     parallel_for(
         0, shards_.size(),
         [&](size_t s) {
-          const std::vector<uint32_t>& qidx = plan.shard_queries[s];
+          std::span<const uint32_t> qidx = plan.shard_queries(s);
           if (qidx.empty()) return;
           std::vector<Q> sub(qidx.size());
           for (size_t j = 0; j < qidx.size(); ++j) sub[j] = qs[qidx[j]];
@@ -1020,16 +940,18 @@ class Sharded {
     return Status::Ok();
   }
 
+  // Reporting families: offset-arithmetic concatenation of each query's
+  // shard slices, then the canonical per-slice sort.
   template <typename Result, typename Less>
-  auto merge_planned_report(const Plan& plan, const std::vector<Result>& per,
-                            size_t nq, Less less) const {
+  auto merge_slices(const Plan& plan, const std::vector<Result>& per,
+                    size_t nq, Less less) const {
     using T = typename Result::value_type;
     if (Status poison = first_poison(per); !poison.ok()) {
       return BatchResult<T>(std::move(poison));
     }
     std::vector<size_t> offsets(nq + 1, 0);
     for (size_t q = 0; q < nq; ++q) {
-      for (auto [s, j] : plan.entries[q]) offsets[q] += per[s].count(j);
+      for (auto [s, j] : plan.entries(q)) offsets[q] += per[s].count(j);
     }
     asym::count_read(plan.visits);
     asym::count_write(nq);
@@ -1039,7 +961,7 @@ class Sharded {
         0, nq,
         [&](size_t q) {
           T* out = items.data() + offsets[q];
-          for (auto [s, j] : plan.entries[q]) {
+          for (auto [s, j] : plan.entries(q)) {
             out = std::copy(per[s].begin(j), per[s].end(j), out);
           }
           std::sort(items.data() + offsets[q], out, less);
@@ -1053,14 +975,15 @@ class Sharded {
     return BatchResult<T>(std::move(items), std::move(offsets));
   }
 
-  std::vector<size_t> merge_planned_count(
+  // Counting families: merged count(q) = sum over the visited shards.
+  std::vector<size_t> merge_sums(
       const Plan& plan, const std::vector<std::vector<size_t>>& per,
       size_t nq) const {
     std::vector<size_t> out(nq, 0);
     parallel_for(
         0, nq,
         [&](size_t q) {
-          for (auto [s, j] : plan.entries[q]) out[q] += per[s][j];
+          for (auto [s, j] : plan.entries(q)) out[q] += per[s][j];
         },
         1);
     asym::count_read(plan.visits);
@@ -1093,9 +1016,6 @@ class Sharded {
     }
     return sp;
   }
-  void set_splits(const std::vector<double>& sorted_keys) {
-    splits_ = quantile_splits(sorted_keys);
-  }
 
   // Seeds the range partition from the first non-empty insert batch: a
   // deterministic evenly-strided sample of its partition keys, sorted, cut
@@ -1110,7 +1030,7 @@ class Sharded {
       keys[i] = Traits::partition_key(recs[i * n / sample]);
     }
     std::sort(keys.begin(), keys.end());
-    set_splits(keys);
+    splits_ = quantile_splits(keys);
     bounds_built_ = true;
     asym::count_read(sample);
     asym::count_write(splits_.size() + 1);
@@ -1121,9 +1041,6 @@ class Sharded {
       c.lo[d] = std::min(c.lo[d], Traits::cover_lo(r, d));
       c.hi[d] = std::max(c.hi[d], Traits::cover_hi(r, d));
     }
-  }
-  void extend_cover(size_t s, const Record& r) {
-    extend_cover_with(cover_[s], r);
   }
 
   static constexpr uint64_t kRebalanceSlack = 64;
@@ -1213,10 +1130,10 @@ class Sharded {
   // the planner prunes with). Runs only after a transaction succeeded, so a
   // rolled-back commit never widens a shard's pruning bounds.
   void extend_covers(const std::vector<std::vector<Record>>& by) {
-    if (routing_ != Routing::kRange || !bounds_built_ || by.empty()) return;
+    if (by.empty()) return;
     size_t n = 0;
     for (size_t s = 0; s < by.size(); ++s) {
-      for (const Record& r : by[s]) extend_cover(s, r);
+      for (const Record& r : by[s]) extend_cover_with(cover_[s], r);
       n += by[s].size();
     }
     if (n == 0) return;
@@ -1373,75 +1290,6 @@ class Sharded {
     return total;
   }
 
-  // Runs one shard-level call on every shard concurrently (each call is
-  // itself parallel inside via the two-phase engine; the scheduler nests
-  // fork-join freely). Slot s is written by shard s alone.
-  template <typename Run>
-  auto run_shards(Run&& run) const {
-    using R = std::invoke_result_t<Run&, const Structure&>;
-    std::vector<R> per(shards_.size());
-    parallel_for(
-        0, shards_.size(),
-        [&](size_t s) {
-          per[s] = run(shards_[s]);
-          maybe_poison(per[s], s);
-        },
-        1);
-    return per;
-  }
-
-  // Counting family: merged count(q) = sum over shards.
-  template <typename Run>
-  std::vector<size_t> merge_count(size_t nq, Run&& run) const {
-    auto per = run_shards(run);
-    std::vector<size_t> out(nq, 0);
-    parallel_for(
-        0, nq,
-        [&](size_t q) {
-          for (const std::vector<size_t>& v : per) out[q] += v[q];
-        },
-        1);
-    asym::count_read(per.size() * nq);
-    asym::count_write(nq);
-    return out;
-  }
-
-  // Reporting family: offset-arithmetic concatenation of the shard slices,
-  // then the canonical per-slice sort.
-  template <typename Run, typename Less>
-  auto merge_report(size_t nq, Run&& run, Less less) const {
-    using Result = std::invoke_result_t<Run&, const Structure&>;
-    using T = typename Result::value_type;
-    auto per = run_shards(run);
-    if (Status poison = first_poison(per); !poison.ok()) {
-      return BatchResult<T>(std::move(poison));
-    }
-    std::vector<size_t> offsets(nq + 1, 0);
-    for (size_t q = 0; q < nq; ++q) {
-      for (const Result& r : per) offsets[q] += r.count(q);
-    }
-    asym::count_read(per.size() * nq);
-    asym::count_write(nq);
-    primitives::scan_exclusive(offsets);
-    std::vector<T> items(offsets[nq]);
-    parallel_for(
-        0, nq,
-        [&](size_t q) {
-          T* out = items.data() + offsets[q];
-          for (const Result& r : per) {
-            out = std::copy(r.begin(q), r.end(q), out);
-          }
-          std::sort(items.data() + offsets[q], out, less);
-        },
-        1);
-    // One read + write per item for the concatenation and one more pair for
-    // the canonicalizing sort pass, charged in bulk — a function of the
-    // slice sizes alone, identical at every fanout and worker count.
-    asym::count_read(2 * items.size());
-    asym::count_write(2 * items.size());
-    return BatchResult<T>(std::move(items), std::move(offsets));
-  }
-
   std::vector<Structure> shards_;
   Routing routing_ = Routing::kHash;
   std::vector<Record> staged_ins_;
@@ -1449,11 +1297,12 @@ class Sharded {
   uint64_t version_ = 0;
   size_t last_commit_erased_ = 0;
 
-  // Range-partition state (kRange only).
+  // Range-partition state (kRange only), then the planner's coverage boxes
+  // (both policies).
   bool bounds_built_ = false;
   std::vector<double> splits_;
-  std::vector<Cover> cover_;
   size_t rebalances_ = 0;
+  std::vector<Cover> cover_;
 
   // Routing telemetry. Relaxed atomics: query wrappers are const and may
   // run concurrently; the counters are stats, not asym charges.

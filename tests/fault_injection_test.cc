@@ -9,8 +9,9 @@
 // retry, and the asym read/write totals of a failed commit deterministic
 // across repeat runs (the CMake registration reruns the suite at
 // WEG_NUM_THREADS=1/2/8). Degenerate serving inputs (fanout 0, k = 0,
-// k > n, empty/inverted/NaN rectangles, NaN probes) are pinned to defined
-// empty results under both routing policies. The FaultSweep cases re-run
+// k > n, empty/inverted/NaN rectangles, NaN probes, never-filled, sparse
+// and drained layers) are pinned to defined results under both routing
+// policies. The FaultSweep cases re-run
 // the serving scenario under whatever WEG_FAULT the environment arms — the
 // CI fault sweep's entry point — and assert the invariants hold whether or
 // not the armed point trips.
@@ -396,6 +397,102 @@ TEST(FaultInjection, DegenerateServingInputsAreDefined) {
     // Erasing absent but well-formed records is a soft miss.
     EXPECT_EQ(si.bulk_erase({Interval{0.123, 0.456, 777777}}).value(), 0u);
     EXPECT_EQ(si.size(), ivs.size());
+
+    // Empty and sparse layers: every query is planned against the shard
+    // coverage boxes, which only grow, so shards without live records must
+    // be pruned by their size alone — whether never inserted into, left
+    // empty by a sparse fanout-8 layer holding 3 records, or erased back to
+    // empty. All six wrappers must match the unsharded oracle (empty
+    // oracles give the empty answer), and no query may visit more shards
+    // than hold records.
+    std::vector<Interval> few_ivs(ivs.begin(), ivs.begin() + 3);
+    std::vector<geom::Point2> few_pts(pts.begin(), pts.begin() + 3);
+    std::vector<double> probes = stab_points(32, 0xDE8);
+    std::vector<geom::Box2> boxes = box_queries(32, 0xDE9);
+    std::vector<geom::Point2> near = testing::random_points<2>(16, 0xDEA);
+    for (const Interval& iv : few_ivs) probes.push_back((iv.l + iv.r) / 2);
+    for (const geom::Point2& p : few_pts) {
+      geom::Box2 b;
+      b.lo = b.hi = p;
+      boxes.push_back(b);
+      near.push_back(p);
+    }
+    auto expect_oracle = [&](const Sharded<DynamicIntervalTree>& lsi,
+                             const DynamicIntervalTree& oi,
+                             const Sharded<LogForest<2>>& lsf,
+                             const LogForest<2>& of) {
+      auto stab = lsi.stab_batch(probes);
+      auto sc = lsi.stab_count_batch(probes);
+      ASSERT_TRUE(stab.ok());
+      for (size_t i = 0; i < probes.size(); ++i) {
+        std::vector<uint32_t> want = oi.stab(probes[i]);
+        std::sort(want.begin(), want.end());
+        EXPECT_EQ(stab.result(i), want);
+        EXPECT_EQ(sc[i], want.size());
+      }
+      auto rep = lsf.range_report_batch(boxes);
+      auto rc = lsf.range_count_batch(boxes);
+      ASSERT_TRUE(rep.ok());
+      for (size_t i = 0; i < boxes.size(); ++i) {
+        std::vector<geom::Point2> want = of.range_report(boxes[i]);
+        std::sort(want.begin(), want.end(),
+                  [](const geom::Point2& a, const geom::Point2& b) {
+                    return a.coords < b.coords;
+                  });
+        EXPECT_EQ(rep.result(i), want);
+        EXPECT_EQ(rc[i], want.size());
+      }
+      for (size_t k : {size_t{1}, size_t{5}}) {
+        auto knn = lsf.knn_batch(near, k);
+        ASSERT_TRUE(knn.ok());
+        for (size_t i = 0; i < near.size(); ++i) {
+          EXPECT_EQ(knn.result(i), of.knn(near[i], k));
+        }
+      }
+      auto ann = lsf.ann_batch(near, 0.0);
+      for (size_t i = 0; i < near.size(); ++i) {
+        ASSERT_EQ(ann[i].has_value(), of.size() > 0);
+        if (ann[i].has_value()) {
+          EXPECT_EQ(*ann[i], of.knn(near[i], 1).front());
+        }
+      }
+      auto live_shards = [](const auto& layer) {
+        size_t live = 0;
+        for (size_t s = 0; s < layer.fanout(); ++s) {
+          live += layer.shard(s).size() > 0 ? 1 : 0;
+        }
+        return live;
+      };
+      EXPECT_LE(lsi.planner_shard_visits(),
+                live_shards(lsi) * lsi.planner_queries());
+      EXPECT_LE(lsf.planner_shard_visits(),
+                live_shards(lsf) * lsf.planner_queries());
+    };
+    DynamicIntervalTree no_ivs(4), few_iv_oracle(4);
+    LogForest<2> no_pts, few_pt_oracle;
+    ASSERT_TRUE(few_iv_oracle.bulk_insert(few_ivs).ok());
+    ASSERT_TRUE(few_pt_oracle.bulk_insert(few_pts).ok());
+    {
+      Sharded<DynamicIntervalTree> never_i(routing, 4, 4);
+      Sharded<LogForest<2>> never_f(routing, 4);
+      expect_oracle(never_i, no_ivs, never_f, no_pts);
+    }
+    {
+      Sharded<DynamicIntervalTree> sparse_i(routing, 8, 4);
+      Sharded<LogForest<2>> sparse_f(routing, 8);
+      ASSERT_TRUE(sparse_i.bulk_insert(few_ivs).ok());
+      ASSERT_TRUE(sparse_f.bulk_insert(few_pts).ok());
+      expect_oracle(sparse_i, few_iv_oracle, sparse_f, few_pt_oracle);
+    }
+    {
+      Sharded<DynamicIntervalTree> drained_i(routing, 4, 4);
+      Sharded<LogForest<2>> drained_f(routing, 4);
+      ASSERT_TRUE(drained_i.bulk_insert(ivs).ok());
+      ASSERT_TRUE(drained_f.bulk_insert(pts).ok());
+      ASSERT_EQ(drained_i.bulk_erase(ivs).value(), ivs.size());
+      ASSERT_EQ(drained_f.bulk_erase(pts).value(), pts.size());
+      expect_oracle(drained_i, no_ivs, drained_f, no_pts);
+    }
   }
 }
 

@@ -1,12 +1,14 @@
-// Range-routed planner vs hash-broadcast vs unsharded equality
+// Range-routed vs hash-routed vs unsharded equality
 // (src/parallel/sharded.h): the shard-pruning planner may only change which
 // shards answer a query, never the answer. Every merged slice under
-// Routing::kRange must be bitwise-identical to the hash-broadcast merge and
+// Routing::kRange must be bitwise-identical to the hash-routed layer's
+// (named `broadcast` below: hash batches used to go to every shard) and
 // to the unsharded structure's answer in the canonical order, at every
 // fanout — stabbing, range count/report, kNN, and ANN — including queries
 // sitting exactly on shard split points and spanning several shards. The
 // suite also pins the planner's selectivity (selective batches visit fewer
-// than fanout shards per query; broadcast visits exactly fanout), the
+// than fanout shards per query; hash routing's overlapping shard bounds
+// make every stab visit all fanout shards), the
 // commit-time rebalancing path, the routing-key normalization regression
 // (-0.0 must route like +0.0), the no-op-epoch versioning regression, and
 // golden read/write counts for the planned paths (captured at
@@ -230,8 +232,8 @@ TEST(PlannerEquality, BoundaryStraddlingQueries) {
 TEST(PlannerEquality, SelectiveQueriesVisitFewerThanFanoutShards) {
   // The acceptance criterion behind the shards_visited_per_query bench row:
   // at fanout 4/8, selective stab and range batches must touch strictly
-  // fewer than fanout shards per query under range routing, while broadcast
-  // touches exactly fanout.
+  // fewer than fanout shards per query under range routing, while hash
+  // routing's overlapping shard bounds leave exactly fanout.
   auto ivs = fixed_intervals(kN, 0x5E1);
   auto qs = stab_points(256, 0x5E1F);
   for (size_t f : {size_t{4}, size_t{8}}) {
@@ -498,7 +500,7 @@ TEST(PlannerEquality, PlannedBatchGoldenCounts) {
     auto r = si.stab_batch(sq);
     auto c = region.delta();
     EXPECT_GT(r.total(), 0u);
-    // Broadcast charges 460387/294247 on this workload (see the sharded
+    // Hash routing charges 462587/295577 on this workload (see the sharded
     // suite's golden test): pruning shows up in the asym totals as well.
     // Recaptured for the sampling semisort: a 200-query batch rides the
     // classic small-n path, whose grouping sweep is now read-charged
