@@ -32,6 +32,7 @@
 #include "src/augtree/alpha.h"
 #include "src/augtree/interval.h"
 #include "src/augtree/treap.h"
+#include "src/core/copy_delta.h"
 #include "src/core/status.h"
 #include "src/parallel/batch_query.h"
 
@@ -116,6 +117,17 @@ class DynamicIntervalTree {
   // and checks the "alloc" fault point; any non-OK return happens before
   // the first write, leaving the tree unchanged.
   Status bulk_insert(const std::vector<Interval>& ivs);
+  // Two-phase bulk update, by copy (src/core/copy_delta.h): the bulk ops
+  // write skeleton nodes and treap pools in place, so prepare copies the
+  // tree (one read + one write per live interval) and runs bulk_insert then
+  // bulk_erase on the copy; apply moves the copy in. A native O(batch)
+  // prepare waits on a flat arena layout (ROADMAP).
+  using Delta = CopyDelta<DynamicIntervalTree>;
+  Expected<Delta> prepare(const std::vector<Interval>& ins,
+                          const std::vector<Interval>& ers) const {
+    return prepare_by_copy(*this, ins, ers);
+  }
+  size_t apply(Delta&& d) noexcept { return apply_copy(*this, std::move(d)); }
 
   std::vector<uint32_t> stab(double q) const;
   // Counting variant: same API as the static trees; scan-based over the

@@ -9,10 +9,10 @@
 //   * A non-OK return from a bulk update means the structure was NOT
 //     modified: validation and injected-fault checks run before the first
 //     write, so callers can retry, drop the batch, or surface the error
-//     without rebuilding anything. (Exceptions thrown mid-apply — real
-//     allocation failure, or a fault injected below the entry checks — are
-//     the one escape hatch; the sharded layer's shadow-apply commit converts
-//     those into a rolled-back non-OK Status at the transaction boundary.)
+//     without rebuilding anything. (Exceptions thrown mid-operation — real
+//     allocation failure — are the one escape hatch; the sharded layer's
+//     two-phase commit catches those in prepare, before any shard changes,
+//     and returns a rolled-back non-OK Status.)
 //
 // Codes follow the absl/gRPC canonical-space naming so readers map them
 // instantly; only the subset this codebase produces is defined.

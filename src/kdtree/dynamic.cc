@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <queue>
+#include <type_traits>
 #include <utility>
 
 #include "src/parallel/fault.h"
@@ -46,7 +47,7 @@ Status check_points(const std::vector<geom::PointK<K>>& pts, const char* op) {
 // ---------------------------------------------------------------------------
 
 template <int K>
-KdTree<K> LogForest<K>::build(std::vector<Point> pts) {
+KdTree<K> LogForest<K>::build(std::vector<Point> pts) const {
   // Below this size the classic builder is cheaper (few levels, and the
   // p-batched machinery has per-batch overheads); the write savings of the
   // p-batched builder only materialize on the large levels, which dominate
@@ -65,138 +66,241 @@ KdTree<K> LogForest<K>::build(std::vector<Point> pts) {
 }
 
 template <int K>
-void LogForest<K>::insert(const Point& p) {
-  // Gather the carry chain: level 0, 1, ... while occupied.
-  std::vector<Point> pts{p};
-  asym::count_write();
-  size_t lvl = 0;
-  while (lvl < levels_.size() && levels_[lvl].used) {
-    Level& L = levels_[lvl];
-    asym::count_read(L.tree.size());
-    for (size_t i = 0; i < L.tree.size(); ++i) {
-      if (L.alive[i]) pts.push_back(L.tree.points()[i]);
+typename LogForest<K>::Delta LogForest<K>::empty_plan() const {
+  Delta d;
+  d.live = live_;
+  d.dead = dead_;
+  return d;
+}
+
+template <int K>
+size_t LogForest<K>::view_levels(const Delta& d) const {
+  return d.dst == kNoLevel ? levels_.size()
+                           : std::max(levels_.size(), d.dst + 1);
+}
+
+template <int K>
+const typename LogForest<K>::Level* LogForest<K>::view_level(const Delta& d,
+                                                             size_t j) const {
+  if (d.dst != kNoLevel && j <= d.dst) return j == d.dst ? &d.fresh : nullptr;
+  if (j >= levels_.size() || !levels_[j].used) return nullptr;
+  return &levels_[j];
+}
+
+template <int K>
+void LogForest<K>::append_live(const Level& L, std::span<const Kill> kills,
+                               std::vector<Point>& out) {
+  asym::count_read(L.tree.size());
+  size_t k = 0;
+  for (size_t i = 0; i < L.tree.size(); ++i) {
+    if (!L.alive[i]) continue;
+    if (k < kills.size() && kills[k].second == i) {
+      ++k;
+      continue;
     }
-    dead_ -= L.dead;
-    L = Level{};
-    ++lvl;
-  }
-  if (lvl >= levels_.size()) levels_.resize(lvl + 1);
-  Level& dst = levels_[lvl];
-  dst.tree = build(std::move(pts));
-  dst.alive.assign(dst.tree.size(), 1);
-  dst.dead = 0;
-  dst.used = true;
-  ++live_;
-}
-
-template <int K>
-Status LogForest<K>::bulk_insert(const std::vector<Point>& points) {
-  if (points.empty()) return Status::Ok();
-  Status s = check_points<K>(points, "bulk_insert");
-  if (!s.ok()) return s;
-  // Allocation fault point: index = the batch's node demand.
-  if (fault::should_fail("alloc", points.size())) {
-    return fault::injected("alloc", points.size());
-  }
-  std::vector<Point> pts = points;
-  asym::count_write(pts.size());
-  // Absorb the occupied prefix (as a chain of single inserts would) plus any
-  // occupied level whose nominal capacity 2^lvl is below the batch size, so
-  // the merged tree lands at a level that can hold it.
-  size_t lvl = 0;
-  while ((lvl < levels_.size() && levels_[lvl].used) ||
-         (size_t{1} << lvl) < pts.size()) {
-    if (lvl < levels_.size() && levels_[lvl].used) {
-      Level& L = levels_[lvl];
-      asym::count_read(L.tree.size());
-      for (size_t i = 0; i < L.tree.size(); ++i) {
-        if (L.alive[i]) pts.push_back(L.tree.points()[i]);
-      }
-      dead_ -= L.dead;
-      L = Level{};
-    }
-    ++lvl;
-  }
-  if (lvl >= levels_.size()) levels_.resize(lvl + 1);
-  Level& dst = levels_[lvl];
-  dst.tree = build(std::move(pts));
-  dst.alive.assign(dst.tree.size(), 1);
-  dst.dead = 0;
-  dst.used = true;
-  live_ += points.size();
-  return Status::Ok();
-}
-
-template <int K>
-bool LogForest<K>::erase_mark(const Point& p) {
-  for (Level& L : levels_) {
-    if (!L.used) continue;
-    size_t i = L.tree.find(p);  // O(log n) descent
-    if (i == SIZE_MAX || !L.alive[i]) continue;
-    asym::count_write();
-    L.alive[i] = 0;
-    ++L.dead;
-    ++dead_;
-    --live_;
-    return true;
-  }
-  return false;
-}
-
-template <int K>
-void LogForest<K>::maybe_compact() {
-  if (dead_ * 2 >= live_ + dead_ && live_ + dead_ > 8) {
-    rebuild_from(flatten_alive());
+    out.push_back(L.tree.points()[i]);
   }
 }
 
 template <int K>
-bool LogForest<K>::erase(const Point& p) {
-  if (!erase_mark(p)) return false;
-  maybe_compact();
-  return true;
-}
-
-template <int K>
-Expected<size_t> LogForest<K>::bulk_erase(const std::vector<Point>& pts) {
-  Status s = check_points<K>(pts, "bulk_erase");
-  if (!s.ok()) return s;
-  size_t erased = 0;
-  for (const Point& p : pts) {
-    if (erase_mark(p)) ++erased;
-  }
-  if (erased > 0) maybe_compact();
-  return erased;
-}
-
-template <int K>
-std::vector<typename LogForest<K>::Point> LogForest<K>::flatten_alive() const {
+std::vector<typename LogForest<K>::Point> LogForest<K>::flatten(
+    Delta& d) const {
+  std::sort(d.kills.begin(), d.kills.end());
   std::vector<Point> out;
-  out.reserve(live_);
-  for (const Level& L : levels_) {
-    if (!L.used) continue;
-    asym::count_read(L.tree.size());
-    for (size_t i = 0; i < L.tree.size(); ++i) {
-      if (L.alive[i]) out.push_back(L.tree.points()[i]);
+  out.reserve(d.live);
+  size_t k = 0;
+  for (size_t j = 0; j < view_levels(d); ++j) {
+    const Level* L = view_level(d, j);
+    if (L == nullptr) continue;
+    size_t level_end = k;
+    while (level_end < d.kills.size() && d.kills[level_end].first == j) {
+      ++level_end;
     }
+    append_live(*L, std::span(d.kills).subspan(k, level_end - k), out);
+    k = level_end;
   }
   asym::count_write(out.size());
   return out;
 }
 
 template <int K>
-void LogForest<K>::rebuild_from(std::vector<Point> pts) {
-  levels_.clear();
-  live_ = pts.size();
-  dead_ = 0;
+std::pair<size_t, size_t> LogForest<K>::find_live(
+    const Delta& d, const Point& p,
+    const std::unordered_set<uint64_t>& killed) const {
+  for (size_t j = 0; j < view_levels(d); ++j) {
+    const Level* L = view_level(d, j);
+    if (L == nullptr) continue;
+    // O(log n) descent; erased copies of p do not end it.
+    size_t i = L->tree.find_if(p, [&](size_t slot) {
+      return L->alive[slot] &&
+             (j == d.dst || killed.count(uint64_t{j} << 32 | slot) == 0);
+    });
+    if (i != SIZE_MAX) return {j, i};
+  }
+  return {kNoLevel, 0};
+}
+
+template <int K>
+void LogForest<K>::plan_insert(Delta& d, std::vector<Point> pts,
+                               bool fit_batch) const {
+  d.live += pts.size();
+  // Absorb the occupied prefix (the carry chain) plus, for a batch, any
+  // occupied level whose nominal capacity 2^lvl is below the merged size, so
+  // the merged tree lands at a level that can hold it.
+  size_t lvl = 0;
+  while ((lvl < levels_.size() && levels_[lvl].used) ||
+         (fit_batch && (size_t{1} << lvl) < pts.size())) {
+    if (lvl < levels_.size() && levels_[lvl].used) {
+      append_live(levels_[lvl], {}, pts);
+      d.dead -= levels_[lvl].dead;
+    }
+    ++lvl;
+  }
+  if (lvl >= levels_.size()) d.spine.resize(lvl + 1);
+  d.dst = lvl;
+  d.fresh.tree = build(std::move(pts));
+  d.fresh.alive.assign(d.fresh.tree.size(), 1);
+  d.fresh.used = true;
+}
+
+template <int K>
+void LogForest<K>::plan_erase(Delta& d, const std::vector<Point>& ers) const {
+  std::unordered_set<uint64_t> killed;
+  for (const Point& p : ers) {
+    auto [j, i] = find_live(d, p, killed);
+    if (j == kNoLevel) continue;
+    asym::count_write();
+    if (j == d.dst) {
+      d.fresh.alive[i] = 0;
+      ++d.fresh.dead;
+    } else {
+      d.kills.emplace_back(uint32_t(j), uint32_t(i));
+      killed.insert(uint64_t{j} << 32 | i);
+    }
+    ++d.dead;
+    --d.live;
+    ++d.erased;
+  }
+  // Compact once half of all points are dead: the whole forest becomes one
+  // level at floor(log2 live).
+  if (d.erased == 0 || d.dead * 2 < d.live + d.dead || d.live + d.dead <= 8) {
+    return;
+  }
+  std::vector<Point> pts = flatten(d);
+  d.spine.clear();
+  d.compacted = true;
+  d.live = pts.size();
+  d.dead = 0;
   if (pts.empty()) return;
   size_t lvl = 0;
   while ((size_t{1} << (lvl + 1)) <= pts.size()) ++lvl;
-  levels_.resize(lvl + 1);
-  Level& dst = levels_[lvl];
+  d.spine.resize(lvl + 1);
+  Level& dst = d.spine[lvl];
   dst.tree = build(std::move(pts));
   dst.alive.assign(dst.tree.size(), 1);
   dst.used = true;
+}
+
+template <int K>
+Expected<typename LogForest<K>::Delta> LogForest<K>::prepare(
+    const std::vector<Point>& ins, const std::vector<Point>& ers) const {
+  Delta d = empty_plan();
+  if (!ins.empty()) {
+    Status s = check_points<K>(ins, "bulk_insert");
+    if (!s.ok()) return s;
+    // Allocation fault point: index = the batch's node demand.
+    if (fault::should_fail("alloc", ins.size())) {
+      return fault::injected("alloc", ins.size());
+    }
+    asym::count_write(ins.size());
+    plan_insert(d, ins, /*fit_batch=*/true);
+  }
+  Status s = check_points<K>(ers, "bulk_erase");
+  if (!s.ok()) return s;
+  plan_erase(d, ers);
+  return d;
+}
+
+template <int K>
+size_t LogForest<K>::apply(Delta&& d) noexcept {
+  // apply() only moves levels and flips bytes; a throwing move would break
+  // its no-fail contract.
+  static_assert(std::is_nothrow_move_assignable_v<Level> &&
+                std::is_nothrow_move_assignable_v<Delta>);
+  if (d.compacted) {
+    levels_ = std::move(d.spine);
+  } else {
+    if (!d.spine.empty()) {
+      for (size_t j = 0; j < levels_.size(); ++j) {
+        d.spine[j] = std::move(levels_[j]);
+      }
+      levels_ = std::move(d.spine);
+    }
+    if (d.dst != kNoLevel) {
+      for (size_t j = 0; j < d.dst; ++j) levels_[j] = Level{};
+      levels_[d.dst] = std::move(d.fresh);
+    }
+    for (const auto& [j, i] : d.kills) {
+      levels_[j].alive[i] = 0;
+      ++levels_[j].dead;
+    }
+  }
+  live_ = d.live;
+  dead_ = d.dead;
+  return d.erased;
+}
+
+template <int K>
+void LogForest<K>::insert(const Point& p) {
+  Delta d = empty_plan();
+  asym::count_write();
+  plan_insert(d, {p}, /*fit_batch=*/false);
+  apply(std::move(d));
+}
+
+template <int K>
+Status LogForest<K>::bulk_insert(const std::vector<Point>& points) {
+  Expected<Delta> d = prepare(points, {});
+  if (!d.ok()) return d.status();
+  apply(std::move(d).value());
+  return Status::Ok();
+}
+
+template <int K>
+bool LogForest<K>::erase(const Point& p) {
+  Delta d = empty_plan();
+  plan_erase(d, {p});
+  return apply(std::move(d)) != 0;
+}
+
+template <int K>
+Expected<size_t> LogForest<K>::bulk_erase(const std::vector<Point>& pts) {
+  Expected<Delta> d = prepare({}, pts);
+  if (!d.ok()) return d.status();
+  return apply(std::move(d).value());
+}
+
+template <int K>
+std::vector<typename LogForest<K>::Point> LogForest<K>::live_points() const {
+  Delta d = empty_plan();
+  return flatten(d);
+}
+
+template <int K>
+bool LogForest<K>::validate() const {
+  size_t live = 0, dead = 0;
+  for (const Level& L : levels_) {
+    if (!L.used) {
+      if (!L.alive.empty() || L.dead != 0 || L.tree.size() != 0) return false;
+      continue;
+    }
+    if (!L.tree.validate() || L.alive.size() != L.tree.size()) return false;
+    size_t zeros = size_t(std::count(L.alive.begin(), L.alive.end(), 0));
+    if (zeros != L.dead) return false;
+    live += L.tree.size() - L.dead;
+    dead += L.dead;
+  }
+  return live == live_ && dead == dead_;
 }
 
 namespace {

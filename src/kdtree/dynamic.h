@@ -23,9 +23,12 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "src/core/copy_delta.h"
 #include "src/core/status.h"
 #include "src/kdtree/kdtree.h"
 #include "src/kdtree/pbatched.h"
@@ -63,9 +66,7 @@ class LogForest {
   // performs a single (parallel, p-batched when large) rebuild at the first
   // level that both clears the occupied prefix and is large enough for the
   // batch — one tree build instead of up to |pts| carry-chain merges.
-  // Validates the batch up front (finite coordinates) and checks the
-  // "alloc" fault point; any non-OK return happens before the first write,
-  // leaving the forest unchanged.
+  // prepare(pts, {}) + apply: a non-OK return leaves the forest unchanged.
   Status bulk_insert(const std::vector<Point>& pts);
   // Removes one point equal to p; returns false if absent.
   bool erase(const Point& p);
@@ -73,7 +74,28 @@ class LogForest {
   // the half-dead forest compaction check to the end — one compaction per
   // batch instead of up to |pts| piecemeal rebuilds. Returns the number of
   // points actually erased; a non-finite record is rejected pre-mutation.
+  // prepare({}, pts) + apply.
   Expected<size_t> bulk_erase(const std::vector<Point>& pts);
+
+  // --- two-phase bulk update (the sharded commit's protocol) -------------
+
+  // One epoch's change to the forest, built by prepare() and consumed by
+  // apply(). Opaque to callers: hold it, move it, drop it.
+  struct Delta;
+  // Plans "insert `ins`, then erase `ers`" without touching the forest. Runs
+  // every check (finite coordinates, the "alloc" fault point) and every
+  // allocation — the batch copy, the merged level, a compaction the erases
+  // trigger, a longer spine — in the order bulk_insert then bulk_erase
+  // would. Erases resolve against the plan's view of the forest: absorbed
+  // levels are gone and the merged level is present, so a point inserted
+  // and erased in one epoch is found. Charges exactly what bulk_insert +
+  // bulk_erase charge.
+  Expected<Delta> prepare(const std::vector<Point>& ins,
+                          const std::vector<Point>& ers) const;
+  // Publishes a plan prepared against the current state: moves levels and
+  // flips liveness bytes, allocates nothing, cannot fail. Returns the
+  // number of points the plan erased.
+  size_t apply(Delta&& d) noexcept;
 
   size_t range_count(const Box& query, const QueryOptions& opts = {}) const;
   std::vector<Point> range_report(const Box& query,
@@ -108,7 +130,11 @@ class LogForest {
   size_t num_trees() const;
   // Every live point, level by level — the record extraction hook the
   // sharded layer's commit-time rebalancing uses.
-  std::vector<Point> live_points() const { return flatten_alive(); }
+  std::vector<Point> live_points() const;
+  // Structural invariants: every used level's tree validates, its liveness
+  // bytes match the tree and its dead count, unused levels are empty, and
+  // size()/dead totals equal the sums over levels (test helper, uncounted).
+  bool validate() const;
 
  private:
   struct Level {
@@ -117,7 +143,24 @@ class LogForest {
     size_t dead = 0;
     bool used = false;
   };
+  using Kill = std::pair<uint32_t, uint32_t>;  // (level, index)
+  static constexpr size_t kNoLevel = SIZE_MAX;
 
+ public:
+  struct Delta {
+    // A compaction replaces the whole spine; otherwise a non-empty spine is
+    // a longer one the surviving levels move into.
+    std::vector<Level> spine;
+    bool compacted = false;
+    // The merged level lands at `dst` and every level below it is cleared;
+    // kNoLevel when the plan inserts nothing.
+    size_t dst = kNoLevel;
+    Level fresh;
+    std::vector<Kill> kills;  // erased slots on surviving levels
+    size_t live = 0, dead = 0, erased = 0;
+  };
+
+ private:
   // The single templated range traversal: calls vis(pt) for every live point
   // inside `query`, level by level (each level delegates to the static
   // tree's range_visit and filters by liveness). range_count, range_report,
@@ -154,13 +197,34 @@ class LogForest {
     }
   }
 
-  std::vector<Point> flatten_alive() const;
-  void rebuild_from(std::vector<Point> pts);
-  KdTree<K> build(std::vector<Point> pts);
-  // Marks one point dead without the trailing compaction check (erase and
-  // bulk_erase share it; only the compaction cadence differs).
-  bool erase_mark(const Point& p);
-  void maybe_compact();
+  // A plan that changes nothing, against the current state. Every mutation
+  // (insert, erase, the bulk ops) plans on one of these and applies it.
+  Delta empty_plan() const;
+  // The plan's view of level j: nullptr when the level is unused or the
+  // plan absorbed it, the merged level at dst, the live level otherwise.
+  const Level* view_level(const Delta& d, size_t j) const;
+  size_t view_levels(const Delta& d) const;
+  // The flatten helper: appends L's live points, skipping the slots of
+  // `kills`, which are sorted and all on L (one read per slot).
+  static void append_live(const Level& L, std::span<const Kill> kills,
+                          std::vector<Point>& out);
+  // Every live point of the plan's view, level by level (kills sorted in
+  // place so the flatten can skip them).
+  std::vector<Point> flatten(Delta& d) const;
+  // The level lookup: the first level of the view whose copy of p is still
+  // live, as (level, index); (kNoLevel, 0) when p is absent. `killed` holds
+  // the plan's kills on surviving levels, so none is found twice.
+  std::pair<size_t, size_t> find_live(
+      const Delta& d, const Point& p,
+      const std::unordered_set<uint64_t>& killed) const;
+  // Plans the carry chain for the points in `pts`: absorbs the occupied
+  // prefix (and, with `fit_batch`, every level whose capacity is below the
+  // merged size) and builds the merged level.
+  void plan_insert(Delta& d, std::vector<Point> pts, bool fit_batch) const;
+  // Plans the erasure of every point of `ers` present in the view, then the
+  // half-dead compaction check.
+  void plan_erase(Delta& d, const std::vector<Point>& ers) const;
+  KdTree<K> build(std::vector<Point> pts) const;
   // k-NN candidates as (squared distance, point), sorted by (distance,
   // coordinates) and truncated to min(k, size()) entries. knn and knn_batch
   // both instantiate the per-level gathering; output writes are charged by
@@ -203,6 +267,17 @@ class DynamicKdTree {
   // the same single restructuring pass. Returns the number erased; a
   // non-finite record is rejected pre-mutation.
   Expected<size_t> bulk_erase(const std::vector<Point>& pts);
+  // Two-phase bulk update, by copy (src/core/copy_delta.h): the bulk ops
+  // write leaf buffers and the node pool in place, so prepare copies the
+  // tree (one read + one write per live point) and runs bulk_insert then
+  // bulk_erase on the copy; apply moves the copy in. A native O(batch)
+  // prepare waits on a flat arena layout (ROADMAP).
+  using Delta = CopyDelta<DynamicKdTree>;
+  Expected<Delta> prepare(const std::vector<Point>& ins,
+                          const std::vector<Point>& ers) const {
+    return prepare_by_copy(*this, ins, ers);
+  }
+  size_t apply(Delta&& d) noexcept { return apply_copy(*this, std::move(d)); }
 
   size_t range_count(const Box& query, const QueryOptions& opts = {}) const;
   std::vector<Point> range_report(const Box& query,

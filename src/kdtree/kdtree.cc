@@ -359,33 +359,7 @@ std::vector<std::optional<typename KdTree<K>::Point>> KdTree<K>::ann_batch(
 
 template <int K>
 size_t KdTree<K>::find(const Point& p) const {
-  if (root_ == kNullNode) return SIZE_MAX;
-  size_t result = SIZE_MAX;
-  auto rec = [&](auto&& self, uint32_t v) -> void {
-    if (result != SIZE_MAX) return;
-    asym::count_read();
-    const Node& nd = nodes_[v];
-    if (nd.is_leaf()) {
-      for (uint32_t i = nd.begin; i < nd.end; ++i) {
-        asym::count_read();
-        if (points_[i] == p) {
-          result = i;
-          return;
-        }
-      }
-      return;
-    }
-    if (p[nd.dim] < nd.split) {
-      self(self, nd.left);
-    } else if (p[nd.dim] > nd.split) {
-      self(self, nd.right);
-    } else {  // on the hyperplane: the build may have put it on either side
-      self(self, nd.left);
-      self(self, nd.right);
-    }
-  };
-  rec(rec, root_);
-  return result;
+  return find_if(p, [](size_t) { return true; });
 }
 
 template <int K>

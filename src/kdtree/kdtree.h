@@ -211,6 +211,38 @@ class KdTree {
   // Index of a point equal to p (SIZE_MAX if absent). Descends the splits,
   // exploring both sides when p lies exactly on a splitting hyperplane.
   size_t find(const Point& p) const;
+  // find() restricted to the indices `accept(i)` admits: equal points the
+  // predicate rejects (say, erased copies) do not end the search.
+  template <typename Accept>
+  size_t find_if(const Point& p, Accept&& accept) const {
+    if (root_ == kNullNode) return SIZE_MAX;
+    size_t result = SIZE_MAX;
+    auto rec = [&](auto&& self, uint32_t v) -> void {
+      if (result != SIZE_MAX) return;
+      asym::count_read();
+      const Node& nd = nodes_[v];
+      if (nd.is_leaf()) {
+        for (uint32_t i = nd.begin; i < nd.end; ++i) {
+          asym::count_read();
+          if (points_[i] == p && accept(size_t{i})) {
+            result = i;
+            return;
+          }
+        }
+        return;
+      }
+      if (p[nd.dim] < nd.split) {
+        self(self, nd.left);
+      } else if (p[nd.dim] > nd.split) {
+        self(self, nd.right);
+      } else {  // on the hyperplane: the build may have put it on either side
+        self(self, nd.left);
+        self(self, nd.right);
+      }
+    };
+    rec(rec, root_);
+    return result;
+  }
 
   // --- introspection ------------------------------------------------------
 

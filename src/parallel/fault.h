@@ -21,7 +21,9 @@
 //
 // Points defined today (the site passes the index):
 //   shard_apply  — Sharded commit/bulk transaction, index = shard id.
-//                  Trips before the shard's shadow apply starts.
+//                  Trips just after the shard's prepare returns a plan,
+//                  which is then dropped with every other plan (the path
+//                  std::bad_alloc in prepare takes).
 //   alloc        — bulk_insert entry of the three dynamic structures,
 //                  index = the op's node demand (records to allocate for).
 //                  Trips before the first write, so the structure is intact.

@@ -49,8 +49,8 @@
 // without external locking by staging updates on the Sharded layer —
 // begin_epoch() names the next version, stage_insert / stage_erase buffer
 // records without touching any shard, and commit() partitions the staged
-// batch by shard, applies every shard's bulk_insert + bulk_erase in
-// parallel (insertions first, then erasures), and publishes the next
+// batch by shard, applies every shard's insertions then erasures in
+// parallel (the transaction below), and publishes the next
 // version. A commit with nothing staged publishes nothing: version() is
 // unchanged. Queries issued between commits read the last committed
 // snapshot: staged records are invisible until their commit, so query
@@ -60,19 +60,24 @@
 //
 // Transactional commit: commit() returns Expected<Version> and is
 // all-or-nothing. Staged records are validated up front (finite
-// coordinates, l <= r, no duplicate ids within an epoch); then every shard
-// with work applies its sub-batches to a shadow clone, and the clones are
-// published — by move, shard by shard — only after every shard succeeded.
-// Any failure (validation, a structure-level error such as an id already
-// live, an injected fault, or std::bad_alloc mid-apply) rolls the commit
-// back: version() is unchanged, every shard still holds its epoch-N state,
-// and queries return bitwise-identical results to the pre-commit snapshot.
-// The staged buffers are kept on failure so a caller can repair and retry,
-// or drop them with discard_staged(). When several shards fail in one
-// transaction, the reported Status is the lowest-numbered shard's
-// (deterministic at every worker count). bulk_insert / bulk_erase run the
-// same transaction, and commit-time rebalancing migrates records through
-// it too (a failed migration skips the rebalance and keeps the commit).
+// coordinates, l <= r, no duplicate ids within an epoch); then the commit
+// runs in two phases. Phase one prepares every shard with work:
+// Structure::prepare(ins, ers) runs every check and allocation of the
+// shard's insert-then-erase and builds a plan without touching the shard.
+// Phase two, reached only after every shard prepared, applies every plan;
+// apply moves and flips bytes and cannot fail. LogForest plans in
+// O(batch); the k-d and interval trees still plan on a copy of the shard
+// (src/core/copy_delta.h). Any failure (validation, a structure-level
+// error such as an id already live, an injected fault, or std::bad_alloc
+// in prepare) drops every plan: version() is unchanged, every shard still
+// holds its epoch-N state, and queries return bitwise-identical results to
+// the pre-commit snapshot. The staged buffers are kept on failure so a
+// caller can repair and retry, or drop them with discard_staged(). When
+// several shards fail in one transaction, the reported Status is the
+// lowest-numbered shard's (deterministic at every worker count).
+// bulk_insert / bulk_erase run the same transaction, and commit-time
+// rebalancing migrates records through it too (a failed migration skips
+// the rebalance and keeps the commit).
 #pragma once
 
 #include <algorithm>
@@ -86,6 +91,7 @@
 #include <memory>
 #include <new>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -368,10 +374,10 @@ class Sharded {
     staged_ers_.clear();
   }
 
-  // Applies the staged batch — every shard's share via bulk_insert then
-  // bulk_erase, all shards in parallel — rebalances skewed range bounds,
-  // and publishes the next version. A record staged for both insert and
-  // erase in one epoch is inserted, then erased: the committed snapshot
+  // Applies the staged batch — every shard's insertions then erasures, all
+  // shards in parallel, prepared then applied — rebalances skewed range
+  // bounds, and publishes the next version. A record staged for both insert
+  // and erase in one epoch is inserted, then erased: the committed snapshot
   // does not contain it. A commit with nothing staged is a no-op epoch and
   // publishes nothing: version() is unchanged.
   //
@@ -1103,7 +1109,7 @@ class Sharded {
       }
     }
     asym::count_read(n);
-    // Migration order matters within the transaction's per-shard apply:
+    // Migration order matters within the transaction's per-shard plan:
     // enterers insert first, then leavers erase (the sets are disjoint —
     // a record's old and new shard differ — so the order is safe and the
     // erase cannot miss).
@@ -1176,9 +1182,9 @@ class Sharded {
   // the "validate" fault point (index = record ordinal) and reject ids
   // duplicated within the batch — the same id twice in one epoch has no
   // well-defined order, and the shard-level insert would silently clobber.
-  // Ids already live in a shard are caught by that shard's own bulk_insert
-  // during the shadow apply (and roll the transaction back). The scan is an
-  // input-only bulk charge, so asym totals stay deterministic.
+  // Ids already live in a shard are caught by that shard's own prepare (and
+  // roll the transaction back). The scan is an input-only bulk charge, so
+  // asym totals stay deterministic.
   Status validate_batch(const std::vector<Record>& recs, bool inserts) const {
     const char* what = inserts ? "staged insert" : "staged erase";
     asym::count_read(recs.size());
@@ -1214,79 +1220,64 @@ class Sharded {
 
   // --- the transaction --------------------------------------------------
 
-  // Applies per-shard insert then erase sub-batches all-or-nothing: every
-  // shard with work stages into a shadow clone, and the clones replace the
-  // live shards (a per-shard move) only after all of them succeeded. Empty
-  // outer vectors mean "no batch of that kind". Failure modes per shard —
-  // the "shard_apply" fault point (checked before the clone is even made),
-  // a structure-level non-OK Status (id already live, "alloc" fault), or
-  // std::bad_alloc thrown mid-apply — discard every clone and leave all
-  // shards untouched; the first failing shard by id supplies the Status, so
-  // the reported error is identical at every worker count. Returns the
-  // total number of records actually erased on success.
-  //
-  // Cost: cloning charges one bulk read + write per live record of the
-  // shards with work — the write-cost price of all-or-nothing publication;
-  // shards without work are never cloned.
+  // Applies per-shard insert then erase sub-batches all-or-nothing, in two
+  // phases. Phase one prepares every shard with work in parallel: each
+  // Structure::prepare runs every check and allocation of the shard's
+  // insert-then-erase and leaves the shard untouched. Phase two, reached
+  // only when every shard prepared, applies every plan in parallel, and a
+  // plan's apply cannot fail. Empty outer vectors mean "no batch of that
+  // kind". Failure modes per shard — a structure-level non-OK Status (id
+  // already live, "alloc" fault), std::bad_alloc thrown in prepare, or the
+  // "shard_apply" fault point (checked once the shard's plan is built) —
+  // drop every plan, so no shard changes; the lowest-numbered failing
+  // shard supplies the Status, so the reported error is identical at every
+  // worker count. Returns the total number of records actually erased on
+  // success.
   Expected<size_t> apply_transaction(
       const std::vector<std::vector<Record>>& ins,
       const std::vector<std::vector<Record>>& ers) {
+    using Delta = typename Structure::Delta;
+    static const std::vector<Record> kNone;
     size_t S = shards_.size();
-    std::vector<std::unique_ptr<Structure>> shadow(S);
+    std::vector<std::optional<Delta>> plans(S);
     std::vector<Status> status(S);
-    std::vector<size_t> erased(S, 0);
-    uint64_t cloned = 0;
-    for (size_t s = 0; s < S; ++s) {
-      bool has_ins = !ins.empty() && !ins[s].empty();
-      bool has_ers = !ers.empty() && !ers[s].empty();
-      if (has_ins || has_ers) cloned += shards_[s].size();
-    }
-    asym::count_read(cloned);
-    asym::count_write(cloned);
     parallel_for(
         0, S,
         [&](size_t s) {
-          bool has_ins = !ins.empty() && !ins[s].empty();
-          bool has_ers = !ers.empty() && !ers[s].empty();
-          if (!has_ins && !has_ers) return;
-          if (fault::should_fail("shard_apply", s)) {
-            status[s] = fault::injected("shard_apply", s);
-            return;
-          }
+          const std::vector<Record>& si = ins.empty() ? kNone : ins[s];
+          const std::vector<Record>& se = ers.empty() ? kNone : ers[s];
+          if (si.empty() && se.empty()) return;
           try {
-            shadow[s] = std::make_unique<Structure>(shards_[s]);
-            if (has_ins) {
-              Status r = shadow[s]->bulk_insert(ins[s]);
-              if (!r.ok()) {
-                status[s] = Status(r.code(), "shard " + std::to_string(s) +
-                                                 ": " + r.message());
-                return;
-              }
+            Expected<Delta> plan = shards_[s].prepare(si, se);
+            if (!plan.ok()) {
+              Status r = plan.status();
+              status[s] = Status(r.code(), "shard " + std::to_string(s) +
+                                               ": " + r.message());
+              return;
             }
-            if (has_ers) {
-              Expected<size_t> r = shadow[s]->bulk_erase(ers[s]);
-              if (!r.ok()) {
-                status[s] =
-                    Status(r.status().code(), "shard " + std::to_string(s) +
-                                                  ": " + r.status().message());
-                return;
-              }
-              erased[s] = r.value();
-            }
+            plans[s].emplace(std::move(plan).value());
           } catch (const std::bad_alloc&) {
             status[s] = Status::ResourceExhausted(
-                "shard " + std::to_string(s) + ": allocation failed mid-apply");
+                "shard " + std::to_string(s) + ": allocation failed");
+            return;
+          }
+          if (fault::should_fail("shard_apply", s)) {
+            status[s] = fault::injected("shard_apply", s);
           }
         },
         1);
     for (size_t s = 0; s < S; ++s) {
-      if (!status[s].ok()) return status[s];  // clones discarded: rollback
+      if (!status[s].ok()) return status[s];  // plans dropped: rollback
     }
+    std::vector<size_t> erased(S, 0);
+    parallel_for(
+        0, S,
+        [&](size_t s) {
+          if (plans[s]) erased[s] = shards_[s].apply(std::move(*plans[s]));
+        },
+        1);
     size_t total = 0;
-    for (size_t s = 0; s < S; ++s) {
-      if (shadow[s] != nullptr) shards_[s] = std::move(*shadow[s]);
-      total += erased[s];
-    }
+    for (size_t e : erased) total += e;
     return total;
   }
 

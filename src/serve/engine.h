@@ -13,7 +13,7 @@
 //
 // Double-buffered epochs: the engine owns TWO identical Sharded replicas.
 // Queries always run against replica[read] — an immutable epoch-N snapshot —
-// while the committer applies epoch N+1 (validation + shadow-clone apply,
+// while the committer applies epoch N+1 (validation + prepare-then-apply,
 // plain Sharded::commit()) to the other replica. When the commit lands, the
 // batcher flips `read` between query batches, completes the epoch's update
 // requests, and the committer replays the same delta into the now-stale twin

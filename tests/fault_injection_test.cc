@@ -78,15 +78,18 @@ std::vector<geom::Box2> box_queries(size_t q, uint64_t seed) {
   return qs;
 }
 
-// Everything a rollback must preserve, captured from a sharded interval
-// index in one call.
-struct IntervalSnapshot {
+// Everything a rollback must preserve, captured from a sharded layer in one
+// call: reported items (stabbed ids, kNN points) with their slice offsets,
+// and counts (stab counts, range counts).
+template <typename Item>
+struct Snapshot {
   uint64_t version;
   size_t size;
-  std::vector<uint32_t> items;
+  std::vector<Item> items;
   std::vector<size_t> offsets;
   std::vector<size_t> counts;
 };
+using IntervalSnapshot = Snapshot<uint32_t>;
 
 IntervalSnapshot snapshot(const Sharded<DynamicIntervalTree>& si,
                           const std::vector<double>& qs) {
@@ -95,7 +98,22 @@ IntervalSnapshot snapshot(const Sharded<DynamicIntervalTree>& si,
           si.stab_count_batch(qs)};
 }
 
-void expect_identical(const IntervalSnapshot& a, const IntervalSnapshot& b) {
+// The point layers' probes: range counts over boxes, 8-NN around points.
+struct PointProbes {
+  std::vector<geom::Box2> boxes;
+  std::vector<geom::Point2> near;
+};
+
+template <typename Structure>
+Snapshot<geom::Point2> snapshot(const Sharded<Structure>& sp,
+                                const PointProbes& pr) {
+  auto k = sp.knn_batch(pr.near, 8);
+  return {sp.version(), sp.size(), k.items(), k.offsets(),
+          sp.range_count_batch(pr.boxes)};
+}
+
+template <typename Item>
+void expect_identical(const Snapshot<Item>& a, const Snapshot<Item>& b) {
   EXPECT_EQ(a.version, b.version);
   EXPECT_EQ(a.size, b.size);
   EXPECT_EQ(a.items, b.items);
@@ -105,44 +123,59 @@ void expect_identical(const IntervalSnapshot& a, const IntervalSnapshot& b) {
 
 // --- the tentpole: all-or-nothing commit --------------------------------
 
-TEST(FaultInjection, CommitRollsBackAtEveryShardIndex) {
-  auto qs = stab_points(128, 0xBEEF);
+// Stages an epoch with insert and erase work on every shard — every `extra`
+// record inserted plus every fourth `base` record erased — then trips
+// shard_apply at each shard index in turn: each commit must roll back
+// bitwise and keep the staged batch, and the disarmed retry must publish.
+template <typename Structure, typename Rec, typename Probes, typename... Args>
+void expect_rollback_at_every_shard(const std::vector<Rec>& base,
+                                    const std::vector<Rec>& extra,
+                                    const Probes& qs, const Args&... args) {
   for (size_t f : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    auto base = fixed_intervals(8000, 0xA11CE);
-    Sharded<DynamicIntervalTree> si(Routing::kRange, f, 4);
-    ASSERT_TRUE(si.bulk_insert(base).ok());
+    Sharded<Structure> layer(Routing::kRange, f, args...);
+    ASSERT_TRUE(layer.bulk_insert(base).ok());
+    for (const Rec& r : extra) layer.stage_insert(r);
+    for (size_t i = 0; i < base.size(); i += 4) layer.stage_erase(base[i]);
+    size_t staged_ins = layer.staged_inserts();
+    size_t staged_ers = layer.staged_erases();
 
-    // Stage an epoch with insert and erase work on every shard: 4000
-    // uniform inserts plus every fourth live record erased.
-    auto extra = fixed_intervals(4000, 0xF00D, 8000);
-    for (const Interval& iv : extra) si.stage_insert(iv);
-    for (size_t i = 0; i < base.size(); i += 4) si.stage_erase(base[i]);
-    size_t staged_ins = si.staged_inserts();
-    size_t staged_ers = si.staged_erases();
-
-    IntervalSnapshot golden = snapshot(si, qs);
+    auto golden = snapshot(layer, qs);
     for (size_t s = 0; s < f; ++s) {
       fault::ScopedFault guard("shard_apply", /*seed=*/0, /*nth=*/s);
-      auto v = si.commit();
+      auto v = layer.commit();
       ASSERT_FALSE(v.ok()) << "fanout " << f << " shard " << s;
       EXPECT_EQ(v.code(), StatusCode::kFaultInjected);
       EXPECT_GE(fault::trips(), 1u);
       // Rollback identity: the failed epoch is invisible.
-      expect_identical(snapshot(si, qs), golden);
+      expect_identical(snapshot(layer, qs), golden);
       // The staged batch is kept for repair/retry.
-      EXPECT_EQ(si.staged_inserts(), staged_ins);
-      EXPECT_EQ(si.staged_erases(), staged_ers);
+      EXPECT_EQ(layer.staged_inserts(), staged_ins);
+      EXPECT_EQ(layer.staged_erases(), staged_ers);
     }
 
     // Disarmed: the identical staged batch commits and publishes.
-    auto v = si.commit();
+    auto v = layer.commit();
     ASSERT_TRUE(v.ok()) << v.status().to_string();
     EXPECT_EQ(v.value(), golden.version + 1);
-    EXPECT_EQ(si.version(), golden.version + 1);
-    EXPECT_EQ(si.staged_inserts(), 0u);
-    EXPECT_EQ(si.last_commit_erased(), staged_ers);
-    EXPECT_EQ(si.size(), golden.size + staged_ins - staged_ers);
+    EXPECT_EQ(layer.version(), golden.version + 1);
+    EXPECT_EQ(layer.staged_inserts(), 0u);
+    EXPECT_EQ(layer.last_commit_erased(), staged_ers);
+    EXPECT_EQ(layer.size(), golden.size + staged_ins - staged_ers);
   }
+}
+
+TEST(FaultInjection, CommitRollsBackAtEveryShardIndex) {
+  expect_rollback_at_every_shard<DynamicIntervalTree>(
+      fixed_intervals(8000, 0xA11CE), fixed_intervals(4000, 0xF00D, 8000),
+      stab_points(128, 0xBEEF), /*alpha=*/4);
+
+  auto pts = testing::random_points<2>(12000, 0xA11CE);
+  std::vector<geom::Point2> base(pts.begin(), pts.begin() + 8000);
+  std::vector<geom::Point2> extra(pts.begin() + 8000, pts.end());
+  PointProbes probes{box_queries(64, 0xBEEF),
+                     testing::random_points<2>(32, 0xBEF0)};
+  expect_rollback_at_every_shard<LogForest<2>>(base, extra, probes);
+  expect_rollback_at_every_shard<DynamicKdTree<2>>(base, extra, probes);
 }
 
 TEST(FaultInjection, FailedCommitCountsAreDeterministic) {
@@ -217,8 +250,8 @@ TEST(FaultInjection, ValidationRejectsMalformedStagedRecords) {
 
 TEST(FaultInjection, DuplicateIdAgainstLiveRecordRollsBack) {
   // A staged id that is already live fails inside the owning shard's
-  // shadow apply — after other shards may have applied their clones — and
-  // the transaction still rolls back wholesale.
+  // prepare — after other shards may have built their plans — and the
+  // transaction still rolls back wholesale.
   auto qs = stab_points(64, 0x51);
   auto base = fixed_intervals(4000, 0xCAFE);
   Sharded<DynamicIntervalTree> si(Routing::kRange, 4, 4);
@@ -533,9 +566,11 @@ TEST(FaultInjection, WatchdogSurfacesStalledWorker) {
 // Runs a full serving scenario under whatever WEG_FAULT the environment
 // armed (or none) and asserts the transactional invariants hold either
 // way: a failing step must be a perfect no-op, a succeeding run must match
-// the fault-free oracle. The CI fault sweep executes exactly this suite
-// under a matrix of WEG_FAULT specs.
-TEST(FaultSweep, ServingInvariantsHoldUnderEnvFault) {
+// the fault-free oracle. Both layers run: the interval layer, whose shards
+// prepare on a copy, and the forest layer, whose shards plan natively. The
+// CI fault sweep executes exactly this suite under a matrix of WEG_FAULT
+// specs.
+void sweep_interval_layer() {
   auto base = fixed_intervals(6000, 0x5EED);
   auto extra = fixed_intervals(1500, 0x5EEE, 6000);
   auto qs = stab_points(128, 0x5EEF);
@@ -584,6 +619,65 @@ TEST(FaultSweep, ServingInvariantsHoldUnderEnvFault) {
     std::sort(expect.begin(), expect.end());
     EXPECT_EQ(r.result(i), expect);
   }
+}
+
+void sweep_forest_layer() {
+  auto pts = testing::random_points<2>(7500, 0x5EED);
+  std::vector<geom::Point2> base(pts.begin(), pts.begin() + 6000);
+  std::vector<geom::Point2> extra(pts.begin() + 6000, pts.end());
+  PointProbes probes{box_queries(64, 0x5EEF),
+                     testing::random_points<2>(32, 0x5EF0)};
+
+  // insert() and erase() have no fault points either.
+  LogForest<2> oracle;
+  for (const geom::Point2& p : base) oracle.insert(p);
+
+  Sharded<LogForest<2>> sf(Routing::kRange, 4);
+  Status load = sf.bulk_insert(base);
+  if (!load.ok()) {
+    EXPECT_EQ(sf.version(), 0u);
+    EXPECT_EQ(sf.size(), 0u);
+    return;
+  }
+  EXPECT_EQ(sf.size(), oracle.size());
+  // kNN can be poisoned; the snapshot then compares poisoned (empty)
+  // results, which the armed spec makes identical on both sides.
+  auto before = snapshot(sf, probes);
+
+  for (const geom::Point2& p : extra) sf.stage_insert(p);
+  for (size_t i = 0; i < base.size(); i += 3) sf.stage_erase(base[i]);
+  auto v = sf.commit();
+  if (!v.ok()) {
+    expect_identical(snapshot(sf, probes), before);
+    EXPECT_EQ(sf.staged_inserts(), extra.size());
+    return;
+  }
+  EXPECT_EQ(sf.version(), before.version + 1);
+  for (const geom::Point2& p : extra) oracle.insert(p);
+  for (size_t i = 0; i < base.size(); i += 3) {
+    ASSERT_TRUE(oracle.erase(base[i]));
+  }
+  EXPECT_EQ(sf.size(), oracle.size());
+  for (size_t s = 0; s < sf.fanout(); ++s) EXPECT_TRUE(sf.shard(s).validate());
+
+  auto counts = sf.range_count_batch(probes.boxes);
+  for (size_t i = 0; i < probes.boxes.size(); ++i) {
+    EXPECT_EQ(counts[i], oracle.range_count(probes.boxes[i]));
+  }
+  auto knn = sf.knn_batch(probes.near, 8);
+  if (!knn.ok()) {
+    EXPECT_EQ(knn.status().code(), StatusCode::kFaultInjected);
+    EXPECT_EQ(knn.total(), 0u);
+    return;
+  }
+  for (size_t i = 0; i < probes.near.size(); ++i) {
+    EXPECT_EQ(knn.result(i), oracle.knn(probes.near[i], 8));
+  }
+}
+
+TEST(FaultSweep, ServingInvariantsHoldUnderEnvFault) {
+  sweep_interval_layer();
+  sweep_forest_layer();
 }
 
 }  // namespace

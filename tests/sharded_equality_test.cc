@@ -15,12 +15,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/augtree/interval.h"
 #include "src/augtree/interval_tree.h"
 #include "src/geom/box.h"
 #include "src/kdtree/dynamic.h"
+#include "src/parallel/fault.h"
 #include "src/parallel/sharded.h"
 #include "src/primitives/random.h"
 #include "tests/testing_util.h"
@@ -314,6 +316,116 @@ TEST(ShardedEquality, ForestEpochInterleaving) {
     live.insert(live.end(), ins.begin(), ins.end());
   }
   EXPECT_EQ(sharded.version(), 4u);
+}
+
+// Randomized differential epochs over a range-routed forest layer. Each
+// epoch inserts fresh points (clustered, so range rebalances migrate
+// records through the transaction) plus copies of live points, and erases
+// live points, absent points, the same point twice, and points inserted in
+// the same epoch; some epochs erase most of the live set, so shard forests
+// compact inside the plan. A brute-force multiset is the oracle for the
+// erase count, range counts and kNN after every epoch, and every shard
+// must validate(). Every fifth epoch first trips shard_apply on a shard
+// with work: the failed commit must leave results bitwise identical and
+// keep the staged batch.
+TEST(ShardedEquality, ForestRandomEpochsMatchOracle) {
+  using geom::Point2;
+  constexpr size_t kK = 5;
+  for (uint64_t seed : {0x5A1u, 0x5A2u, 0x5A3u}) {
+    primitives::Rng rng(seed);
+    Sharded<LogForest<2>> sf(parallel::Routing::kRange, 4);
+    std::vector<Point2> live;  // the oracle multiset
+    auto boxes = box_queries(16, seed);
+    auto near = testing::random_points<2>(8, seed ^ 0x99);
+    auto random_point = [&](double cx, double cy, double spread) {
+      return Point2{{cx + rng.next_double() * spread,
+                     cy + rng.next_double() * spread}};
+    };
+    auto results = [&] {
+      return std::make_pair(sf.range_count_batch(boxes),
+                            sf.knn_batch(near, kK).items());
+    };
+
+    for (int epoch = 0; epoch < 30; ++epoch) {
+      std::vector<Point2> ins, ers;
+      double cx = rng.next_double() * 0.8, cy = rng.next_double() * 0.8;
+      for (size_t i = 0, n = 50 + rng.next_bounded(250); i < n; ++i) {
+        ins.push_back(random_point(cx, cy, 0.2));
+      }
+      for (size_t i = 0; i < 10 && !live.empty(); ++i) {
+        ins.push_back(live[rng.next_bounded(live.size())]);
+      }
+      size_t erase_live = rng.next_bounded(live.size() / 4 + 1);
+      // Every seventh epoch erases most of the live set: shards compact.
+      if (epoch % 7 == 6) erase_live = live.size() * 3 / 5;
+      for (size_t i = 0; i < erase_live; ++i) {
+        ers.push_back(live[rng.next_bounded(live.size())]);
+      }
+      for (size_t i = 0; i < 5; ++i) ers.push_back(random_point(0, 0, 1));
+      for (size_t i = 0; i < 5 && !ers.empty(); ++i) ers.push_back(ers[i]);
+      for (size_t i = 0; i < ins.size(); i += 7) ers.push_back(ins[i]);
+      for (const Point2& p : ins) sf.stage_insert(p);
+      for (const Point2& p : ers) sf.stage_erase(p);
+
+      if (epoch % 5 == 4) {
+        auto before = results();
+        uint64_t version = sf.version();
+        size_t victim = sf.shard_of(ins[rng.next_bounded(ins.size())]);
+        {
+          fault::ScopedFault guard("shard_apply", /*seed=*/0, victim);
+          auto v = sf.commit();
+          ASSERT_FALSE(v.ok());
+          EXPECT_EQ(v.code(), StatusCode::kFaultInjected);
+        }
+        EXPECT_EQ(sf.version(), version);
+        EXPECT_EQ(sf.staged_inserts(), ins.size());
+        EXPECT_EQ(sf.staged_erases(), ers.size());
+        EXPECT_EQ(results(), before);
+      }
+      ASSERT_TRUE(sf.commit().ok()) << "seed " << seed << " epoch " << epoch;
+
+      // Oracle: the epoch's inserts land first, then each erase removes one
+      // live copy if there is one.
+      live.insert(live.end(), ins.begin(), ins.end());
+      size_t erased = 0;
+      for (const Point2& p : ers) {
+        auto it = std::find(live.begin(), live.end(), p);
+        if (it == live.end()) continue;
+        *it = live.back();
+        live.pop_back();
+        ++erased;
+      }
+      ASSERT_EQ(sf.last_commit_erased(), erased);
+      ASSERT_EQ(sf.size(), live.size());
+      for (size_t s = 0; s < sf.fanout(); ++s) {
+        ASSERT_TRUE(sf.shard(s).validate()) << "shard " << s;
+      }
+
+      auto [counts, knn_items] = results();
+      for (size_t i = 0; i < boxes.size(); ++i) {
+        size_t want = size_t(std::count_if(
+            live.begin(), live.end(),
+            [&](const Point2& p) { return boxes[i].contains(p); }));
+        EXPECT_EQ(counts[i], want) << "box " << i;
+      }
+      std::vector<Point2> want_knn;
+      for (const Point2& q : near) {
+        std::vector<std::pair<double, Point2>> by_dist;
+        for (const Point2& p : live) {
+          by_dist.emplace_back(geom::squared_distance(p, q), p);
+        }
+        size_t k = std::min(kK, by_dist.size());
+        std::partial_sort(by_dist.begin(), by_dist.begin() + k, by_dist.end(),
+                          [](const auto& a, const auto& b) {
+                            if (a.first != b.first) return a.first < b.first;
+                            return a.second.coords < b.second.coords;
+                          });
+        for (size_t j = 0; j < k; ++j) want_knn.push_back(by_dist[j].second);
+      }
+      EXPECT_EQ(knn_items, want_knn);
+    }
+    EXPECT_GT(sf.rebalances(), 0u) << "seed " << seed;
+  }
 }
 
 TEST(ShardedEquality, ShardedCountsScheduleIndependent) {
