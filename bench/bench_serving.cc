@@ -5,10 +5,10 @@
 // latency is measured at completion rather than in wait order. Rows sweep
 // shard fanout (1/2/4/8) x offered load (64/256/1024); counters carry
 //   p50_us / p95_us / p99_us  request latency percentiles over the run,
-//   overlap_ratio             query batches served while a commit was in
-//                             flight on the twin replica (the pipelining
-//                             evidence: > 0 means reads did not stall on
-//                             writes),
+//   overlap_ratio             query batches served while the committer
+//                             prepared an epoch beside them (the
+//                             pipelining evidence: > 0 means reads did not
+//                             stall on writes),
 //   rejected_fraction         admission-control rejects / offered,
 // and items_per_second is completed requests/sec. Engines are cached per
 // fanout and started once — batcher + committer are scheduler-external root
@@ -194,9 +194,10 @@ int main(int argc, char** argv) {
   weg::bench::banner(
       "Asynchronous serving engine (latency percentiles vs offered load)",
       "Open-loop mixed traffic through the pipelined engine: bounded "
-      "admission queues, size/deadline batching, and double-buffered epoch "
-      "commits overlapping query batches (overlap_ratio > 0 means reads "
-      "did not stall on writes); fanout 1 is the single-shard baseline.");
+      "admission queues, size/deadline batching, and epochs prepared beside "
+      "query batches and published between them (overlap_ratio > 0 means "
+      "reads did not stall on writes); fanout 1 is the single-shard "
+      "baseline.");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

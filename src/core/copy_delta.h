@@ -6,7 +6,9 @@
 // O(batch) (src/kdtree/dynamic.h). DynamicKdTree and DynamicIntervalTree
 // mutate leaf buffers and treap pools in place, so their prepare copies the
 // structure — one bulk read + write per live record — and runs its own
-// bulk_insert then bulk_erase on the copy; their apply moves the copy in.
+// bulk_insert then bulk_erase on the copy; their apply swaps the copy in and
+// leaves the old structure in the spent delta, so its storage is freed
+// wherever the caller drops the delta, not inside apply.
 #pragma once
 
 #include <cstddef>
@@ -46,8 +48,8 @@ Expected<CopyDelta<S>> prepare_by_copy(const S& s, const std::vector<Rec>& ins,
 
 template <typename S>
 size_t apply_copy(S& s, CopyDelta<S>&& d) noexcept {
-  static_assert(std::is_nothrow_move_assignable_v<S>);
-  s = std::move(*d.next);
+  static_assert(std::is_nothrow_swappable_v<S>);
+  std::swap(s, *d.next);
   return d.erased;
 }
 

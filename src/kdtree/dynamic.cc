@@ -157,6 +157,7 @@ void LogForest<K>::plan_insert(Delta& d, std::vector<Point> pts,
     ++lvl;
   }
   if (lvl >= levels_.size()) d.spine.resize(lvl + 1);
+  d.absorbed.resize(lvl);
   d.dst = lvl;
   d.fresh.tree = build(std::move(pts));
   d.fresh.alive.assign(d.fresh.tree.size(), 1);
@@ -223,22 +224,23 @@ Expected<typename LogForest<K>::Delta> LogForest<K>::prepare(
 
 template <int K>
 size_t LogForest<K>::apply(Delta&& d) noexcept {
-  // apply() only moves levels and flips bytes; a throwing move would break
-  // its no-fail contract.
-  static_assert(std::is_nothrow_move_assignable_v<Level> &&
+  // apply() only swaps levels and flips bytes: it allocates and frees
+  // nothing. What it displaces (the absorbed levels, the old spine) stays in
+  // `d` and is freed wherever the caller drops the spent plan.
+  static_assert(std::is_nothrow_swappable_v<Level> &&
                 std::is_nothrow_move_assignable_v<Delta>);
   if (d.compacted) {
-    levels_ = std::move(d.spine);
+    levels_.swap(d.spine);
   } else {
     if (!d.spine.empty()) {
       for (size_t j = 0; j < levels_.size(); ++j) {
-        d.spine[j] = std::move(levels_[j]);
+        std::swap(d.spine[j], levels_[j]);
       }
-      levels_ = std::move(d.spine);
+      levels_.swap(d.spine);
     }
     if (d.dst != kNoLevel) {
-      for (size_t j = 0; j < d.dst; ++j) levels_[j] = Level{};
-      levels_[d.dst] = std::move(d.fresh);
+      for (size_t j = 0; j < d.dst; ++j) std::swap(levels_[j], d.absorbed[j]);
+      std::swap(levels_[d.dst], d.fresh);
     }
     for (const auto& [j, i] : d.kills) {
       levels_[j].alive[i] = 0;

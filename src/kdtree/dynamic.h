@@ -92,9 +92,10 @@ class LogForest {
   // bulk_erase charge.
   Expected<Delta> prepare(const std::vector<Point>& ins,
                           const std::vector<Point>& ers) const;
-  // Publishes a plan prepared against the current state: moves levels and
-  // flips liveness bytes, allocates nothing, cannot fail. Returns the
-  // number of points the plan erased.
+  // Publishes a plan prepared against the current state: swaps levels and
+  // flips liveness bytes, allocates and frees nothing, cannot fail. The
+  // levels it displaces stay in `d`, so they are freed where the caller
+  // drops it. Returns the number of points the plan erased.
   size_t apply(Delta&& d) noexcept;
 
   size_t range_count(const Box& query, const QueryOptions& opts = {}) const;
@@ -152,10 +153,12 @@ class LogForest {
     // a longer one the surviving levels move into.
     std::vector<Level> spine;
     bool compacted = false;
-    // The merged level lands at `dst` and every level below it is cleared;
-    // kNoLevel when the plan inserts nothing.
+    // The merged level lands at `dst` and every level below it is cleared
+    // into `absorbed` (empty slots until apply); kNoLevel when the plan
+    // inserts nothing.
     size_t dst = kNoLevel;
     Level fresh;
+    std::vector<Level> absorbed;
     std::vector<Kill> kills;  // erased slots on surviving levels
     size_t live = 0, dead = 0, erased = 0;
   };

@@ -50,34 +50,27 @@
 // begin_epoch() names the next version, stage_insert / stage_erase buffer
 // records without touching any shard, and commit() partitions the staged
 // batch by shard, applies every shard's insertions then erasures in
-// parallel (the transaction below), and publishes the next
-// version. A commit with nothing staged publishes nothing: version() is
-// unchanged. Queries issued between commits read the last committed
-// snapshot: staged records are invisible until their commit, so query
-// batches may be freely interleaved with staging. The serving loop itself
-// sequences commit() against in-flight query batches (phases, not locks);
-// everything inside a phase parallelizes on the scheduler.
+// parallel (the transaction below), and publishes the next version. A
+// commit with nothing staged publishes nothing: version() is unchanged.
+// Queries issued between commits read the last committed snapshot: staged
+// records are invisible until their commit, so query batches may be freely
+// interleaved with staging.
 //
 // Transactional commit: commit() returns Expected<Version> and is
-// all-or-nothing. Staged records are validated up front (finite
-// coordinates, l <= r, no duplicate ids within an epoch); then the commit
-// runs in two phases. Phase one prepares every shard with work:
-// Structure::prepare(ins, ers) runs every check and allocation of the
-// shard's insert-then-erase and builds a plan without touching the shard.
-// Phase two, reached only after every shard prepared, applies every plan;
-// apply moves and flips bytes and cannot fail. LogForest plans in
-// O(batch); the k-d and interval trees still plan on a copy of the shard
-// (src/core/copy_delta.h). Any failure (validation, a structure-level
-// error such as an id already live, an injected fault, or std::bad_alloc
-// in prepare) drops every plan: version() is unchanged, every shard still
-// holds its epoch-N state, and queries return bitwise-identical results to
-// the pre-commit snapshot. The staged buffers are kept on failure so a
-// caller can repair and retry, or drop them with discard_staged(). When
-// several shards fail in one transaction, the reported Status is the
-// lowest-numbered shard's (deterministic at every worker count).
-// bulk_insert / bulk_erase run the same transaction, and commit-time
-// rebalancing migrates records through it too (a failed migration skips
-// the rebalance and keeps the commit).
+// all-or-nothing. It is prepare_epoch(), publish() and prepare_rebalance()
+// in a row (see each below); a serving loop makes the same calls itself to
+// prepare off its query path. Staged records are validated up front
+// (finite coordinates, l <= r, no duplicate ids within an epoch); then
+// every shard with work prepares: Structure::prepare(ins, ers) runs every
+// check and allocation of the shard's insert-then-erase without touching
+// the shard. LogForest plans in O(batch); the k-d and interval trees still
+// plan on a copy of the shard (src/core/copy_delta.h). Any failure
+// (validation, a structure-level error such as an id already live, an
+// injected fault, or std::bad_alloc in prepare) drops the plan and leaves
+// the layer untouched; the staged buffers are kept so a caller can repair
+// and retry, or drop them with discard_staged(). Publishing applies every
+// plan; apply moves and flips bytes and cannot fail. bulk_insert /
+// bulk_erase prepare and publish the same way, without a rebalance.
 #pragma once
 
 #include <algorithm>
@@ -225,13 +218,13 @@ struct ShardTraits<kdtree::DynamicKdTree<K>> : detail::PointRouteTraits<K> {
 template <typename Structure>
 class Sharded;
 
-// Read-while-commit snapshot handle. Pins one Sharded replica at one
-// published version for batched reads while a twin replica applies the next
-// epoch's commit (src/serve/engine.h). The handle owns and locks nothing —
-// the serving engine's flip protocol guarantees the pinned replica is not
-// mutated while handles to it are live (commit and read touch disjoint
-// replicas); valid() is the cheap runtime assertion of that protocol: the
-// pinned version is still the replica's published version.
+// Snapshot handle for one batch of reads. Pins the layer at one published
+// version while a query batch runs; the next epoch meanwhile prepares
+// against the same layer, which only reads it (src/serve/engine.h). The
+// handle owns and locks nothing — the serving engine publishes only between
+// query batches, so the pinned layer is not mutated while a handle to it is
+// in use; valid() is the cheap runtime assertion of that protocol: the
+// pinned version is still the layer's published version.
 template <typename Structure>
 class ShardedSnapshot {
  public:
@@ -242,9 +235,9 @@ class ShardedSnapshot {
   bool empty() const { return layer_ == nullptr; }
   // The epoch this snapshot pinned at construction.
   uint64_t version() const { return version_; }
-  // True while the pinned replica still serves the pinned epoch. A false
-  // return means something committed into the replica under live readers —
-  // a flip-protocol violation worth crashing a debug build over.
+  // True while the layer still serves the pinned epoch. A false return
+  // means an epoch was published under live readers — a violation of the
+  // publish-between-batches protocol worth crashing a debug build over.
   bool valid() const {
     return layer_ != nullptr && layer_->version() == version_;
   }
@@ -288,10 +281,7 @@ class Sharded {
   size_t fanout() const { return shards_.size(); }
   Routing routing() const { return routing_; }
   size_t shard_of(const Record& rec) const {
-    if (routing_ == Routing::kRange && bounds_built_) {
-      return shard_by_key_in(splits_, Traits::partition_key(rec));
-    }
-    return Traits::route_key(rec) % shards_.size();
+    return route(rec, routed_splits());
   }
   Structure& shard(size_t s) { return shards_[s]; }
   const Structure& shard(size_t s) const { return shards_[s]; }
@@ -338,8 +328,8 @@ class Sharded {
     return out;
   }
 
-  // Pins this replica at its current version for read-while-commit serving
-  // (see ShardedSnapshot above and src/serve/engine.h).
+  // Pins the layer at its current version for one batch of reads (see
+  // ShardedSnapshot above and src/serve/engine.h).
   ShardedSnapshot<Structure> snapshot() const {
     return ShardedSnapshot<Structure>(*this);
   }
@@ -382,58 +372,163 @@ class Sharded {
   // publishes nothing: version() is unchanged.
   //
   // All-or-nothing (see the file header): on any non-OK return the layer
-  // still serves epoch N — version() unchanged, queries bitwise-identical
-  // to the pre-commit snapshot — and the staged buffers are kept for repair
-  // or discard_staged(). The one persisting side effect of a failed first
-  // commit is the seeded range partition (split points only — a routing
-  // heuristic, not record state).
+  // still serves epoch N — version(), the split points and queries are
+  // bitwise-identical to the pre-commit snapshot, including after a failed
+  // first commit, whose seeded split points lived only in the dropped plan
+  // — and the staged buffers are kept for repair or discard_staged().
   Expected<uint64_t> commit() {
     if (staged_ins_.empty() && staged_ers_.empty()) {
       last_commit_erased_ = 0;
       return version_;
     }
-    Status valid = validate_staged();
-    if (!valid.ok()) return valid;
-    ensure_bounds(staged_ins_);
-    auto ins = partition(staged_ins_);
-    auto ers = partition(staged_ers_);
-    Expected<size_t> erased = apply_transaction(ins, ers);
-    if (!erased.ok()) return erased.status();
-    // Published: coverage extension and epoch bookkeeping happen only now,
-    // so a rolled-back commit leaves the planner's pruning bounds exact.
-    last_commit_erased_ = erased.value();
-    extend_covers(ins);
+    Expected<EpochPlan> plan = prepare_epoch(staged_ins_, staged_ers_);
+    if (!plan.ok()) return plan.status();
+    publish(plan.value());
+    last_commit_erased_ = plan.value().erased();
     staged_ins_.clear();
     staged_ers_.clear();
-    maybe_rebalance();
-    return ++version_;
+    if (std::optional<EpochPlan> rb = prepare_rebalance()) publish(*rb);
+    return version_;
   }
 
   // Immediate one-batch epochs: route and apply `recs` in one step and
   // publish a version of their own. Records staged for the in-progress
   // epoch (if any) are left staged — only commit() consumes them. An empty
-  // batch is a no-op and publishes no version. Both run the same
-  // transaction as commit(): a non-OK return leaves every shard unchanged.
+  // batch is a no-op and publishes no version. Both run the same prepare
+  // and publish as commit(): a non-OK return leaves every shard unchanged.
   Status bulk_insert(const std::vector<Record>& recs) {
     if (recs.empty()) return Status::Ok();
-    Status valid = validate_batch(recs, /*inserts=*/true);
-    if (!valid.ok()) return valid;
-    ensure_bounds(recs);
-    auto ins = partition(recs);
-    Expected<size_t> res = apply_transaction(ins, {});
-    if (!res.ok()) return res.status();
-    extend_covers(ins);
-    ++version_;
+    Expected<EpochPlan> plan = prepare_epoch(recs, {});
+    if (!plan.ok()) return plan.status();
+    publish(plan.value());
     return Status::Ok();
   }
   Expected<size_t> bulk_erase(const std::vector<Record>& recs) {
     if (recs.empty()) return size_t{0};
-    Status valid = validate_batch(recs, /*inserts=*/false);
+    Expected<EpochPlan> plan = prepare_epoch({}, recs);
+    if (!plan.ok()) return plan.status();
+    publish(plan.value());
+    return plan.value().erased();
+  }
+
+  // --- the two-phase epoch (what commit() is made of) -------------------
+
+  struct EpochPlan;
+
+  // Plans "insert `ins`, then erase `ers`" as one epoch without touching
+  // the layer: validation, the range seed (first insert batch only),
+  // routing, and every shard's prepare (the transaction below).
+  Expected<EpochPlan> prepare_epoch(const std::vector<Record>& ins,
+                                    const std::vector<Record>& ers) const {
+    Status valid = validate_batch(ins, /*inserts=*/true);
+    if (valid.ok()) valid = validate_batch(ers, /*inserts=*/false);
     if (!valid.ok()) return valid;
-    Expected<size_t> res = apply_transaction({}, partition(recs));
-    if (!res.ok()) return res;
-    ++version_;
-    return res;
+    EpochPlan plan;
+    plan.splits = seed_splits(ins);
+    const std::vector<double>* splits =
+        plan.splits ? &*plan.splits : routed_splits();
+    plan.inserts = partition(ins, splits);
+    Status s = prepare_shards(plan, plan.inserts, partition(ers, splits));
+    if (!s.ok()) return s;
+    return plan;
+  }
+
+  // Installs a plan prepared against the current state: applies every
+  // shard's plan in parallel, installs the plan's split points and
+  // coverage, and publishes the next version (a rebalance plan publishes
+  // none). Must not overlap a query batch or another call on the layer.
+  // The plan is left spent: it holds the displaced shard storage and old
+  // split points, freed when the caller drops it. Returns version().
+  uint64_t publish(EpochPlan& plan) noexcept {
+    parallel_for(
+        0, shards_.size(),
+        [&](size_t s) {
+          if (plan.deltas[s]) {
+            plan.shard_erased[s] = shards_[s].apply(std::move(*plan.deltas[s]));
+          }
+        },
+        1);
+    if (plan.splits) {
+      splits_.swap(*plan.splits);
+      bounds_built_ = true;
+    }
+    if (plan.rebalance) {
+      cover_.swap(plan.cover);
+      ++rebalances_;
+      return version_;
+    }
+    // Coverage grows only now, so a dropped plan leaves the planner's
+    // pruning bounds exact.
+    extend_covers(plan.inserts);
+    return ++version_;
+  }
+
+  // Commit-time load balancing (range policy): per-shard load = live
+  // records + queries routed since the previous call, which consumes the
+  // query counters. When the heaviest shard exceeds twice the mean load
+  // (plus slack so tiny sets never thrash), the split points are
+  // recomputed as exact quantiles of the live key set — the general form of
+  // splitting overloaded ranges and merging underused neighbors — coverage
+  // is recomputed exactly, and the records whose shard assignment changed
+  // migrate (each shard inserts its enterers and erases its leavers; the
+  // sets are disjoint, so shards migrate in parallel). Returns the
+  // migration as a plan to publish, or nullopt when none is due or its
+  // prepare failed (the rebalance is skipped; the partition stays valid).
+  std::optional<EpochPlan> prepare_rebalance() const {
+    size_t S = shards_.size();
+    std::vector<uint64_t> queries(S);
+    for (size_t s = 0; s < S; ++s) {
+      queries[s] = queries_routed_[s].exchange(0, std::memory_order_relaxed);
+    }
+    if (routing_ != Routing::kRange || !bounds_built_ || S == 1) {
+      return std::nullopt;
+    }
+    uint64_t total = 0, max_load = 0;
+    for (size_t s = 0; s < S; ++s) {
+      uint64_t load = shards_[s].size() + queries[s];
+      total += load;
+      max_load = std::max(max_load, load);
+    }
+    if (max_load <= 2 * (total / S) + kRebalanceSlack) return std::nullopt;
+
+    std::vector<std::vector<Record>> recs(S);
+    parallel_for(
+        0, S, [&](size_t s) { recs[s] = Traits::extract(shards_[s]); }, 1);
+    size_t n = 0;
+    for (const std::vector<Record>& v : recs) n += v.size();
+    if (n == 0) return std::nullopt;
+    std::vector<double> keys;
+    keys.reserve(n);
+    for (const std::vector<Record>& v : recs) {
+      for (const Record& r : v) keys.push_back(Traits::partition_key(r));
+    }
+    std::sort(keys.begin(), keys.end());
+    asym::count_read(n);
+    asym::count_write(n);
+    std::vector<double> new_splits = quantile_splits(keys);
+    if (new_splits == splits_) return std::nullopt;  // degenerate keys
+
+    EpochPlan plan;
+    plan.rebalance = true;
+    plan.cover.assign(S, empty_cover());
+    std::vector<std::vector<Record>> leave(S), enter(S);
+    for (size_t s = 0; s < S; ++s) {
+      for (const Record& r : recs[s]) {
+        size_t ns = shard_by_key_in(new_splits, Traits::partition_key(r));
+        extend_cover_with(plan.cover[ns], r);
+        if (ns != s) {
+          leave[s].push_back(r);
+          enter[ns].push_back(r);
+        }
+      }
+    }
+    asym::count_read(n);
+    plan.splits = std::move(new_splits);
+    // Migration order matters within each shard's plan: enterers insert
+    // first, then leavers erase (the sets are disjoint — a record's old and
+    // new shard differ — so the order is safe and the erase cannot miss).
+    if (!prepare_shards(plan, enter, leave).ok()) return std::nullopt;
+    return plan;
   }
 
   // --- batched queries --------------------------------------------------
@@ -656,12 +751,47 @@ class Sharded {
     return c;
   }
 
+ public:
+  // One prepared change to the layer: every shard's plan plus the routing
+  // and coverage state that publishes with it. Built by prepare_epoch() or
+  // prepare_rebalance() without touching the layer, installed by publish();
+  // dropping an unpublished plan is the rollback. Opaque to callers: hold
+  // it, move it, drop it.
+  struct EpochPlan {
+    // Per shard: the structure's plan, and what publish() erased.
+    std::vector<std::optional<typename Structure::Delta>> deltas;
+    std::vector<size_t> shard_erased;
+    // The routed inserts extend the coverage boxes; a rebalance instead
+    // replaces them with exact ones and publishes no version.
+    std::vector<std::vector<Record>> inserts;
+    bool rebalance = false;
+    std::vector<Cover> cover;
+    // Seeded or re-split partition, installed by publish().
+    std::optional<std::vector<double>> splits;
+
+    // Records the published plan erased.
+    size_t erased() const {
+      return std::accumulate(shard_erased.begin(), shard_erased.end(),
+                             size_t{0});
+    }
+  };
+
+ private:
   bool shard_live(size_t s) const { return shards_[s].size() > 0; }
 
   static size_t shard_by_key_in(const std::vector<double>& splits,
                                 double key) {
     return static_cast<size_t>(
         std::upper_bound(splits.begin(), splits.end(), key) - splits.begin());
+  }
+
+  // The split points records route by, or nullptr while they hash.
+  const std::vector<double>* routed_splits() const {
+    return routing_ == Routing::kRange && bounds_built_ ? &splits_ : nullptr;
+  }
+  size_t route(const Record& rec, const std::vector<double>* splits) const {
+    return splits ? shard_by_key_in(*splits, Traits::partition_key(rec))
+                  : Traits::route_key(rec) % shards_.size();
   }
 
   // --- planner predicates over the coverage bounds ---------------------
@@ -1026,9 +1156,12 @@ class Sharded {
   // Seeds the range partition from the first non-empty insert batch: a
   // deterministic evenly-strided sample of its partition keys, sorted, cut
   // at quantiles. Commit-time rebalancing corrects the seed as the record
-  // set evolves.
-  void ensure_bounds(const std::vector<Record>& recs) {
-    if (routing_ != Routing::kRange || bounds_built_ || recs.empty()) return;
+  // set evolves. nullopt when there is nothing to seed.
+  std::optional<std::vector<double>> seed_splits(
+      const std::vector<Record>& recs) const {
+    if (routing_ != Routing::kRange || bounds_built_ || recs.empty()) {
+      return std::nullopt;
+    }
     size_t n = recs.size();
     size_t sample = std::min<size_t>(n, 4096);
     std::vector<double> keys(sample);
@@ -1036,10 +1169,10 @@ class Sharded {
       keys[i] = Traits::partition_key(recs[i * n / sample]);
     }
     std::sort(keys.begin(), keys.end());
-    splits_ = quantile_splits(keys);
-    bounds_built_ = true;
+    std::vector<double> splits = quantile_splits(keys);
     asym::count_read(sample);
-    asym::count_write(splits_.size() + 1);
+    asym::count_write(splits.size() + 1);
+    return splits;
   }
 
   static void extend_cover_with(Cover& c, const Record& r) {
@@ -1051,92 +1184,25 @@ class Sharded {
 
   static constexpr uint64_t kRebalanceSlack = 64;
 
-  // Commit-time load balancing (range policy): per-shard load = live
-  // records + queries routed since the previous commit. When the heaviest
-  // shard exceeds twice the mean load (plus slack so tiny sets never
-  // thrash), the split points are recomputed as exact quantiles of the
-  // live key set — the general form of splitting overloaded ranges and
-  // merging underused neighbors — coverage is recomputed exactly, and the
-  // records whose shard assignment changed migrate (each shard erases its
-  // leavers and inserts its enterers; the sets are disjoint, so shards
-  // migrate in parallel).
-  void maybe_rebalance() {
-    size_t S = shards_.size();
-    std::vector<uint64_t> queries(S);
-    for (size_t s = 0; s < S; ++s) {
-      queries[s] = queries_routed_[s].exchange(0, std::memory_order_relaxed);
-    }
-    if (routing_ != Routing::kRange || !bounds_built_ || S == 1) return;
-    uint64_t total = 0, max_load = 0;
-    for (size_t s = 0; s < S; ++s) {
-      uint64_t load = shards_[s].size() + queries[s];
-      total += load;
-      max_load = std::max(max_load, load);
-    }
-    if (max_load <= 2 * (total / S) + kRebalanceSlack) return;
-
-    std::vector<std::vector<Record>> recs(S);
-    parallel_for(
-        0, S, [&](size_t s) { recs[s] = Traits::extract(shards_[s]); }, 1);
-    size_t n = 0;
-    for (const std::vector<Record>& v : recs) n += v.size();
-    if (n == 0) return;
-    std::vector<double> keys;
-    keys.reserve(n);
-    for (const std::vector<Record>& v : recs) {
-      for (const Record& r : v) keys.push_back(Traits::partition_key(r));
-    }
-    std::sort(keys.begin(), keys.end());
-    asym::count_read(n);
-    asym::count_write(n);
-    // Stage the new partition locally: splits_, cover_, and the shards are
-    // only touched once the migration transaction has succeeded, so a
-    // failed migration (injected fault, allocation failure) skips the
-    // rebalance and leaves the just-committed epoch fully intact.
-    std::vector<double> new_splits = quantile_splits(keys);
-    if (new_splits == splits_) return;  // degenerate keys: no-op re-split
-
-    std::vector<Cover> new_cover(S, empty_cover());
-    std::vector<std::vector<Record>> leave(S), enter(S);
-    for (size_t s = 0; s < S; ++s) {
-      for (const Record& r : recs[s]) {
-        size_t ns = shard_by_key_in(new_splits, Traits::partition_key(r));
-        extend_cover_with(new_cover[ns], r);
-        if (ns != s) {
-          leave[s].push_back(r);
-          enter[ns].push_back(r);
-        }
-      }
-    }
-    asym::count_read(n);
-    // Migration order matters within the transaction's per-shard plan:
-    // enterers insert first, then leavers erase (the sets are disjoint —
-    // a record's old and new shard differ — so the order is safe and the
-    // erase cannot miss).
-    if (!apply_transaction(enter, leave).ok()) return;
-    splits_ = std::move(new_splits);
-    cover_ = std::move(new_cover);
-    ++rebalances_;
-  }
-
   // --- update routing ---------------------------------------------------
 
-  // Routes one record batch into per-shard sub-batches (the read + write of
-  // each record is the routing pass's bookkeeping charge).
+  // Routes one record batch into per-shard sub-batches by `splits` (hashed
+  // when null); the read + write of each record is the routing pass's
+  // bookkeeping charge.
   std::vector<std::vector<Record>> partition(
-      const std::vector<Record>& recs) const {
+      const std::vector<Record>& recs,
+      const std::vector<double>* splits) const {
     std::vector<std::vector<Record>> by(shards_.size());
     asym::count_read(recs.size());
     asym::count_write(recs.size());
-    for (const Record& r : recs) by[shard_of(r)].push_back(r);
+    for (const Record& r : recs) by[route(r, splits)].push_back(r);
     return by;
   }
 
   // Post-publish coverage extension over a routed insert batch (the bounds
-  // the planner prunes with). Runs only after a transaction succeeded, so a
-  // rolled-back commit never widens a shard's pruning bounds.
+  // the planner prunes with). Runs only in publish, so a dropped plan never
+  // widens a shard's pruning bounds.
   void extend_covers(const std::vector<std::vector<Record>>& by) {
-    if (by.empty()) return;
     size_t n = 0;
     for (size_t s = 0; s < by.size(); ++s) {
       for (const Record& r : by[s]) extend_cover_with(cover_[s], r);
@@ -1212,50 +1278,38 @@ class Sharded {
     return Status::Ok();
   }
 
-  Status validate_staged() const {
-    Status s = validate_batch(staged_ins_, /*inserts=*/true);
-    if (!s.ok()) return s;
-    return validate_batch(staged_ers_, /*inserts=*/false);
-  }
-
   // --- the transaction --------------------------------------------------
 
-  // Applies per-shard insert then erase sub-batches all-or-nothing, in two
-  // phases. Phase one prepares every shard with work in parallel: each
-  // Structure::prepare runs every check and allocation of the shard's
-  // insert-then-erase and leaves the shard untouched. Phase two, reached
-  // only when every shard prepared, applies every plan in parallel, and a
-  // plan's apply cannot fail. Empty outer vectors mean "no batch of that
-  // kind". Failure modes per shard — a structure-level non-OK Status (id
-  // already live, "alloc" fault), std::bad_alloc thrown in prepare, or the
-  // "shard_apply" fault point (checked once the shard's plan is built) —
-  // drop every plan, so no shard changes; the lowest-numbered failing
-  // shard supplies the Status, so the reported error is identical at every
-  // worker count. Returns the total number of records actually erased on
-  // success.
-  Expected<size_t> apply_transaction(
-      const std::vector<std::vector<Record>>& ins,
-      const std::vector<std::vector<Record>>& ers) {
-    using Delta = typename Structure::Delta;
-    static const std::vector<Record> kNone;
+  // Phase one of the transaction: prepares every shard with work in
+  // parallel into `plan`. Each Structure::prepare runs every check and
+  // allocation of the shard's insert-then-erase (`ins[s]`, then `ers[s]`)
+  // and leaves the shard untouched; publish() later applies every plan,
+  // and a plan's apply cannot fail. Failure modes per shard — a
+  // structure-level non-OK Status (id already live, "alloc" fault),
+  // std::bad_alloc thrown in prepare, or the "shard_apply" fault point
+  // (checked once the shard's plan is built) — fail the whole plan; the
+  // lowest-numbered failing shard supplies the Status, so the reported
+  // error is identical at every worker count.
+  Status prepare_shards(EpochPlan& plan,
+                        const std::vector<std::vector<Record>>& ins,
+                        const std::vector<std::vector<Record>>& ers) const {
     size_t S = shards_.size();
-    std::vector<std::optional<Delta>> plans(S);
+    plan.deltas.resize(S);
+    plan.shard_erased.assign(S, 0);
     std::vector<Status> status(S);
     parallel_for(
         0, S,
         [&](size_t s) {
-          const std::vector<Record>& si = ins.empty() ? kNone : ins[s];
-          const std::vector<Record>& se = ers.empty() ? kNone : ers[s];
-          if (si.empty() && se.empty()) return;
+          if (ins[s].empty() && ers[s].empty()) return;
           try {
-            Expected<Delta> plan = shards_[s].prepare(si, se);
-            if (!plan.ok()) {
-              Status r = plan.status();
+            auto delta = shards_[s].prepare(ins[s], ers[s]);
+            if (!delta.ok()) {
+              Status r = delta.status();
               status[s] = Status(r.code(), "shard " + std::to_string(s) +
                                                ": " + r.message());
               return;
             }
-            plans[s].emplace(std::move(plan).value());
+            plan.deltas[s].emplace(std::move(delta).value());
           } catch (const std::bad_alloc&) {
             status[s] = Status::ResourceExhausted(
                 "shard " + std::to_string(s) + ": allocation failed");
@@ -1266,19 +1320,10 @@ class Sharded {
           }
         },
         1);
-    for (size_t s = 0; s < S; ++s) {
-      if (!status[s].ok()) return status[s];  // plans dropped: rollback
+    for (const Status& st : status) {
+      if (!st.ok()) return st;
     }
-    std::vector<size_t> erased(S, 0);
-    parallel_for(
-        0, S,
-        [&](size_t s) {
-          if (plans[s]) erased[s] = shards_[s].apply(std::move(*plans[s]));
-        },
-        1);
-    size_t total = 0;
-    for (size_t e : erased) total += e;
-    return total;
+    return Status::Ok();
   }
 
   std::vector<Structure> shards_;

@@ -5,10 +5,11 @@
 // item is left with the caller) instead of blocking or growing, so overload
 // sheds load at the front door with an immediate, observable decision — the
 // caller completes the request with kResourceExhausted and the client can
-// back off. Mutex-guarded rather than lock-free: the hand-off is the only
-// cross-thread synchronization the serving pipeline needs (commit and read
-// touch disjoint replicas, see src/serve/engine.h), and a lock held for one
-// push or one bounded drain is nanoseconds against a millisecond batch.
+// back off. Mutex-guarded rather than lock-free: besides the commit
+// hand-shake, the hand-off is the only cross-thread synchronization the
+// serving pipeline needs (epochs publish between query batches, see
+// src/serve/engine.h), and a lock held for one push or one bounded drain is
+// nanoseconds against a millisecond batch.
 #pragma once
 
 #include <cstddef>

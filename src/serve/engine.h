@@ -6,20 +6,22 @@
 //   producers --try_push--> [bounded MPSC queues]      (admission control)
 //                               |
 //                           batcher thread             (size/deadline flush)
-//                   query batches     |  epoch hand-off
-//                   on replica[read]  |  to committer thread
-//                           |         |         |
-//                     double-buffered Sharded replicas
+//              query batches    |  publish    |  epoch hand-off
+//                     |         |             v
+//                     v         v         committer thread: prepare_epoch
+//                   one Sharded layer <-----  (+ retries), prepare_rebalance,
+//                                     reads   drop spent plans
 //
-// Double-buffered epochs: the engine owns TWO identical Sharded replicas.
-// Queries always run against replica[read] — an immutable epoch-N snapshot —
-// while the committer applies epoch N+1 (validation + prepare-then-apply,
-// plain Sharded::commit()) to the other replica. When the commit lands, the
-// batcher flips `read` between query batches, completes the epoch's update
-// requests, and the committer replays the same delta into the now-stale twin
-// so both replicas publish the same version sequence. Commit and read touch
-// disjoint replicas at all times, so the only synchronization is the queue
-// hand-off plus one small mutex around the commit phase transitions.
+// One replica, prepared epochs: the engine serves from a single Sharded.
+// The committer prepares epoch N+1 against it with Sharded::prepare_epoch,
+// which only reads, so query batches keep running on epoch N meanwhile.
+// The batcher publishes the prepared plan between two query batches, so no
+// reader ever observes a mutation, completes the epoch's update requests,
+// and hands the spent plan back: the storage the publish displaced is freed
+// on the committer thread. The committer then prepares any due range
+// rebalance the same way, and the batcher publishes it before the next
+// epoch's hand-off. The only synchronization is the queue hand-off plus one
+// small mutex around the commit phase transitions.
 //
 // Per-request failure isolation: each request completes with its own
 // weg::Expected<T>. Malformed update records (non-finite coordinates,
@@ -35,8 +37,10 @@
 // logical (injected) clock, single-threaded on the caller — admission
 // decisions, batch boundaries, versions, and query results are a pure
 // function of (trace, config), bitwise-identical at every WEG_NUM_THREADS.
-// Live mode (start()/submit_*) uses the same flush logic against the wall
-// clock: deadlines then affect batching boundaries, never results.
+// It runs the same query-batch executor and the same screen, prepare and
+// publish steps inline; live mode (start()/submit_*) differs only in the
+// clock — wall-clock deadlines then affect batching boundaries, never
+// results — and in where completions go.
 #pragma once
 
 #include <algorithm>
@@ -49,8 +53,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <future>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -146,9 +150,8 @@ struct Stats {
   uint64_t epochs_committed = 0;
   uint64_t epochs_failed = 0;
   uint64_t commit_retries = 0;
-  uint64_t catchup_abandoned = 0;
-  // Query batches that ran while a commit was in flight on the twin
-  // replica — the pipeline-overlap evidence the bench reports.
+  // Query batches that ran while an epoch or rebalance was being prepared
+  // beside them — the pipeline-overlap evidence the bench reports.
   uint64_t overlap_batches = 0;
   // Bucket b counts flushed batches with bit_width(size) == b (size 1 ->
   // bucket 1, 2-3 -> 2, 4-7 -> 3, ...).
@@ -170,7 +173,8 @@ template <typename Structure>
 class Engine {
  public:
   using Traits = ServeTraits<Structure>;
-  using Record = typename parallel::Sharded<Structure>::Record;
+  using Layer = parallel::Sharded<Structure>;
+  using Record = typename Layer::Record;
   using Query = typename Traits::Query;
   using Item = typename Traits::Item;
   using QueryReply = QueryReplyT<Item>;
@@ -181,17 +185,10 @@ class Engine {
   Engine(const Config& cfg, parallel::Routing routing, size_t fanout,
          const Args&... args)
       : cfg_(cfg),
+        layer_(routing, fanout, args...),
         query_q_(cfg.queue_capacity),
         update_q_(cfg.queue_capacity),
-        start_tp_(std::chrono::steady_clock::now()) {
-    // Sharded is pinned in place (atomics inside), so the twin replicas
-    // live behind unique_ptrs. Identical construction + identical delta
-    // sequence keeps their version counters in lockstep.
-    rep_[0] = std::make_unique<parallel::Sharded<Structure>>(routing, fanout,
-                                                             args...);
-    rep_[1] = std::make_unique<parallel::Sharded<Structure>>(routing, fanout,
-                                                             args...);
-  }
+        start_tp_(std::chrono::steady_clock::now()) {}
   template <typename... Args>
   Engine(const Config& cfg, size_t fanout, const Args&... args)
       : Engine(cfg, parallel::Routing::kHash, fanout, args...) {}
@@ -200,23 +197,18 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  // Initial data load, applied identically to both replicas. Engine must
-  // be stopped.
+  // Initial data load as one epoch. Engine must be stopped.
   Status bulk_load(const std::vector<Record>& recs) {
     assert(!running_);
-    for (auto& rep : rep_) {
-      if (Status s = rep->bulk_insert(recs); !s.ok()) return s;
-    }
-    return Status::Ok();
+    return layer_.bulk_insert(recs);
   }
 
   // --- live mode --------------------------------------------------------
 
   // Spawns the batcher + committer threads (two scheduler-external root
-  // threads, see src/parallel/scheduler.h). No-op if already running or
-  // after an abandoned catch-up left the replicas diverged (degraded()).
+  // threads, see src/parallel/scheduler.h). No-op if already running.
   void start() {
-    if (running_ || degraded_) return;
+    if (running_) return;
     stop_requested_.store(false, std::memory_order_release);
     accepting_.store(true, std::memory_order_release);
     batcher_ = std::thread([this] { batcher_loop(); });
@@ -225,8 +217,8 @@ class Engine {
   }
 
   // Drains both queues, flushes the forming batches, completes every
-  // in-flight request, finishes (or abandons, see degraded()) the replica
-  // catch-up, and joins both threads. Idempotent.
+  // in-flight request, publishes any prepared rebalance, and joins both
+  // threads. Idempotent.
   void stop() {
     if (!running_) return;
     accepting_.store(false, std::memory_order_release);
@@ -241,47 +233,25 @@ class Engine {
     }
     // A producer racing stop() may have slipped a request in after the
     // batcher's final drain; fail it rather than leave its future hanging.
-    std::vector<PendingQuery> leftq;
-    query_q_.drain_into(leftq, ~size_t{0});
-    for (PendingQuery& r : leftq) {
-      r.done.set_value(Expected<QueryReply>(
-          Status::FailedPrecondition("serving engine stopped")));
-      requests_failed_.fetch_add(1, std::memory_order_relaxed);
-    }
-    std::vector<PendingUpdate> leftu;
-    update_q_.drain_into(leftu, ~size_t{0});
-    for (PendingUpdate& r : leftu) {
-      r.done.set_value(Expected<uint64_t>(
-          Status::FailedPrecondition("serving engine stopped")));
-      requests_failed_.fetch_add(1, std::memory_order_relaxed);
-    }
+    auto fail_left = [&]<typename Req>(BoundedMpscQueue<Req>& q) {
+      std::vector<Req> left;
+      q.drain_into(left, ~size_t{0});
+      for (auto& r : left) {
+        r.done.set_value(Status::FailedPrecondition("serving engine stopped"));
+        requests_failed_.fetch_add(1, std::memory_order_relaxed);
+      }
+    };
+    fail_left(query_q_);
+    fail_left(update_q_);
   }
 
   bool running() const { return running_; }
-  // True after a shutdown had to abandon a replica catch-up: the twins'
-  // versions diverged, so the engine refuses to restart. Only reachable
-  // while a persistent injected fault is armed across stop().
-  bool degraded() const { return degraded_; }
 
   std::future<Expected<QueryReply>> submit_query(const Query& q) {
     PendingQuery r;
     r.query = q;
-    r.admitted_us = now_us();
-    auto fut = r.done.get_future();
-    if (!accepting_.load(std::memory_order_acquire)) {
-      r.done.set_value(Expected<QueryReply>(
-          Status::FailedPrecondition("serving engine is not running")));
-      return fut;
-    }
-    if (!query_q_.try_push(r)) {
-      queries_rejected_.fetch_add(1, std::memory_order_relaxed);
-      r.done.set_value(Expected<QueryReply>(
-          Status::ResourceExhausted("query admission queue full")));
-      return fut;
-    }
-    queries_admitted_.fetch_add(1, std::memory_order_relaxed);
-    poke();
-    return fut;
+    return admit(std::move(r), query_q_, queries_admitted_, queries_rejected_,
+                 "query admission queue full");
   }
 
   std::future<Expected<uint64_t>> submit_insert(const Record& rec) {
@@ -304,9 +274,14 @@ class Engine {
     assert(!running_);
     std::vector<Outcome> out(trace.size());
     std::vector<TraceReq> pq, pu;
-    constexpr uint64_t kNever = ~uint64_t{0};
-    auto deadline = [&](const std::vector<TraceReq>& pend) {
-      return pend.empty() ? kNever : pend.front().at + cfg_.max_delay_us;
+    auto flush = [&](bool queries, uint64_t when,
+                     std::atomic<uint64_t>* trigger) {
+      TraceSink sink{&out, when};
+      if (queries) {
+        run_queries(pq, trigger, sink);
+      } else {
+        commit_inline(pu, trigger, sink);
+      }
     };
 
     uint64_t prev_at = 0;
@@ -319,42 +294,29 @@ class Engine {
       for (;;) {  // fire every deadline due by now, chronologically
         uint64_t dq = deadline(pq), du = deadline(pu);
         if (std::min(dq, du) > ev.at_us) break;
-        if (dq <= du) {
-          trace_flush_queries(pq, out, dq, &deadline_flushes_);
-        } else {
-          trace_flush_updates(pu, out, du, &deadline_flushes_);
-        }
+        flush(dq <= du, std::min(dq, du), &deadline_flushes_);
       }
-      std::vector<TraceReq>& pend = ev.kind == RequestKind::kQuery ? pq : pu;
+      bool is_query = ev.kind == RequestKind::kQuery;
+      std::vector<TraceReq>& pend = is_query ? pq : pu;
       if (pend.size() >= cfg_.queue_capacity) {
         out[i].status = Status::ResourceExhausted(
-            ev.kind == RequestKind::kQuery ? "query admission queue full"
-                                           : "update admission queue full");
+            is_query ? "query admission queue full"
+                     : "update admission queue full");
         out[i].completed_at_us = ev.at_us;
-        auto& ctr = ev.kind == RequestKind::kQuery ? queries_rejected_
-                                                   : updates_rejected_;
-        ctr.fetch_add(1, std::memory_order_relaxed);
+        (is_query ? queries_rejected_ : updates_rejected_)
+            .fetch_add(1, std::memory_order_relaxed);
         continue;
       }
       pend.push_back(TraceReq{ev.kind, ev.at_us, i, ev.query, ev.rec});
-      auto& ctr = ev.kind == RequestKind::kQuery ? queries_admitted_
-                                                 : updates_admitted_;
-      ctr.fetch_add(1, std::memory_order_relaxed);
-      if (ev.kind == RequestKind::kQuery) {
-        if (pq.size() >= cfg_.max_batch) {
-          trace_flush_queries(pq, out, ev.at_us, &size_flushes_);
-        }
-      } else if (pu.size() >= cfg_.max_batch) {
-        trace_flush_updates(pu, out, ev.at_us, &size_flushes_);
+      (is_query ? queries_admitted_ : updates_admitted_)
+          .fetch_add(1, std::memory_order_relaxed);
+      if (pend.size() >= cfg_.max_batch) {
+        flush(is_query, ev.at_us, &size_flushes_);
       }
     }
     while (!pq.empty() || !pu.empty()) {  // end-of-trace drain
       uint64_t dq = deadline(pq), du = deadline(pu);
-      if (dq <= du) {
-        trace_flush_queries(pq, out, dq, &drain_flushes_);
-      } else {
-        trace_flush_updates(pu, out, du, &drain_flushes_);
-      }
+      flush(dq <= du, std::min(dq, du), &drain_flushes_);
     }
     return out;
   }
@@ -362,12 +324,12 @@ class Engine {
   // --- introspection ----------------------------------------------------
 
   // Stable only while the engine is stopped or between epochs; live-mode
-  // callers race the batcher's flip and should go through submit_query.
+  // callers race the batcher's publish and should go through submit_query.
   parallel::ShardedSnapshot<Structure> snapshot() const {
-    return rep_[read_idx()]->snapshot();
+    return layer_.snapshot();
   }
-  uint64_t version() const { return rep_[read_idx()]->version(); }
-  size_t size() const { return rep_[read_idx()]->size(); }
+  uint64_t version() const { return layer_.version(); }
+  size_t size() const { return layer_.size(); }
 
   Stats stats() const {
     Stats s;
@@ -386,7 +348,6 @@ class Engine {
     s.epochs_committed = ld(epochs_committed_);
     s.epochs_failed = ld(epochs_failed_);
     s.commit_retries = ld(commit_retries_);
-    s.catchup_abandoned = ld(catchup_abandoned_);
     s.overlap_batches = ld(overlap_batches_);
     for (size_t b = 0; b < s.batch_size_hist.size(); ++b) {
       s.batch_size_hist[b] = ld(batch_size_hist_[b]);
@@ -395,19 +356,32 @@ class Engine {
   }
 
  private:
-  // --- shared plumbing --------------------------------------------------
+  using Plan = typename Layer::EpochPlan;
 
-  enum class CommitPhase : uint8_t { kIdle, kApplying, kApplied, kCatchingUp };
+  // The commit hand-shake between batcher and committer. kPreparing: the
+  // committer prepares inflight_. kPrepared: the plan (or the epoch's
+  // failure) waits for the batcher to publish it. kRebalancing: the epoch
+  // is published and the committer plans any due rebalance. kRebalanced:
+  // rebalance_ waits for the batcher to publish it.
+  enum class CommitPhase : uint8_t {
+    kIdle,
+    kPreparing,
+    kPrepared,
+    kRebalancing,
+    kRebalanced
+  };
 
+  // Requests of both modes carry the admission time `at` on the mode's
+  // clock; live ones complete a promise, trace ones an outcome slot.
   struct PendingQuery {
     Query query{};
-    uint64_t admitted_us = 0;
+    uint64_t at = 0;
     std::promise<Expected<QueryReply>> done;
   };
   struct PendingUpdate {
     RequestKind kind = RequestKind::kInsert;
     Record rec{};
-    uint64_t admitted_us = 0;
+    uint64_t at = 0;
     std::promise<Expected<uint64_t>> done;
   };
   struct TraceReq {
@@ -417,20 +391,49 @@ class Engine {
     Query query;
     Record rec;
   };
-  // One epoch in flight between batcher and committer, guarded by
-  // commit_mu_. inserts/erases survive until the catch-up replay lands so
-  // the twin replica receives the identical delta.
-  struct Epoch {
-    std::vector<Record> inserts, erases;
-    std::vector<PendingUpdate> requests;
-    Status status = Status::Ok();
-    uint64_t version = 0;
+
+  // Where completions go. Live mode fulfils each request's promise; trace
+  // mode fills its outcome slot at the logical flush time.
+  struct LiveSink {
+    static void done(PendingQuery& r, Status st, uint64_t version,
+                     std::vector<Item> items) {
+      if (st.ok()) {
+        r.done.set_value(QueryReply{std::move(items), version});
+      } else {
+        r.done.set_value(std::move(st));
+      }
+    }
+    static void done(PendingUpdate& r, Status st, uint64_t version,
+                     std::vector<Item>) {
+      if (st.ok()) {
+        r.done.set_value(version);
+      } else {
+        r.done.set_value(std::move(st));
+      }
+    }
+  };
+  static constexpr LiveSink kLive{};
+  struct TraceSink {
+    std::vector<Outcome>* out;
+    uint64_t when;
+    void done(TraceReq& r, Status st, uint64_t version,
+              std::vector<Item> items) const {
+      Outcome& o = (*out)[r.idx];
+      o.status = std::move(st);
+      o.items = std::move(items);
+      o.version = version;
+      o.completed_at_us = when;
+    }
   };
 
-  size_t read_idx() const { return read_idx_.load(std::memory_order_relaxed); }
-  parallel::Sharded<Structure>& write_rep() {
-    return *rep_[1 - read_idx()];
-  }
+  // One screened epoch: the records that passed screening, the requests
+  // they complete, and the plan (or failure) prepared for them.
+  template <typename Req>
+  struct Epoch {
+    std::vector<Record> inserts, erases;
+    std::vector<Req> requests;
+    Expected<Plan> plan = Status::FailedPrecondition("epoch not prepared");
+  };
 
   uint64_t now_us() const {
     return static_cast<uint64_t>(
@@ -439,160 +442,129 @@ class Engine {
             .count());
   }
 
+  static constexpr uint64_t kNever = ~uint64_t{0};
+  // When a forming batch's oldest waiter reaches max_delay_us.
+  template <typename Req>
+  uint64_t deadline(const std::vector<Req>& batch) const {
+    return batch.empty() ? kNever : batch.front().at + cfg_.max_delay_us;
+  }
+
   void note_batch(size_t n, std::atomic<uint64_t>* trigger_ctr) {
     trigger_ctr->fetch_add(1, std::memory_order_relaxed);
     size_t b = std::min<size_t>(std::bit_width(n), batch_size_hist_.size() - 1);
     batch_size_hist_[b].fetch_add(1, std::memory_order_relaxed);
   }
 
-  // Stages ins+ers into `rep` and commits, retrying the commit up to
-  // cfg_.commit_retries extra times (transient faults); on final failure
-  // the staged buffers are dropped and the replica still serves its old
-  // epoch (Sharded's all-or-nothing contract).
-  Expected<uint64_t> apply_delta(parallel::Sharded<Structure>& rep,
-                                 const std::vector<Record>& ins,
-                                 const std::vector<Record>& ers) {
-    for (const Record& r : ins) rep.stage_insert(r);
-    for (const Record& r : ers) rep.stage_erase(r);
-    for (int attempt = 0;; ++attempt) {
-      Expected<uint64_t> v = rep.commit();
-      if (v.ok()) return v;
-      if (attempt >= cfg_.commit_retries) {
-        rep.discard_staged();
-        return v;
+  // Completes one request through `sink`, counting failures.
+  template <typename Sink, typename Req>
+  void complete(const Sink& sink, Req& r, Status st, uint64_t version = 0,
+                std::vector<Item> items = {}) {
+    if (!st.ok()) requests_failed_.fetch_add(1, std::memory_order_relaxed);
+    sink.done(r, std::move(st), version, std::move(items));
+  }
+
+  // --- the steps both modes share ---------------------------------------
+
+  // One query batch against the published epoch. A poisoned batch (fault
+  // injection) falls back to re-running each query alone, so only the
+  // requests whose own sub-batch trips the fault see its Status.
+  template <typename Req, typename Sink>
+  void run_queries(std::vector<Req>& batch, std::atomic<uint64_t>* trigger,
+                   const Sink& sink) {
+    if (batch.empty()) return;
+    note_batch(batch.size(), trigger);
+    bool overlap = phase() != CommitPhase::kIdle;
+    auto snap = layer_.snapshot();
+    std::vector<Query> qs;
+    qs.reserve(batch.size());
+    for (const Req& r : batch) qs.push_back(r.query);
+    parallel::BatchResult<Item> res = Traits::run(*snap, qs, cfg_);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (res.ok()) {
+        complete(sink, batch[i], Status::Ok(), snap.version(), res.result(i));
+        continue;
       }
-      commit_retries_.fetch_add(1, std::memory_order_relaxed);
+      parallel::BatchResult<Item> one = Traits::run(*snap, {qs[i]}, cfg_);
+      complete(sink, batch[i], one.status(), snap.version(),
+               one.ok() ? one.result(0) : std::vector<Item>{});
     }
+    assert(snap.valid());
+    if (overlap) overlap_batches_.fetch_add(1, std::memory_order_relaxed);
+    query_batches_.fetch_add(1, std::memory_order_relaxed);
+    batch.clear();
   }
 
   // Admission-to-epoch screening: validates each record and rejects ids
   // duplicated within the forming epoch, so a malformed request fails alone
-  // instead of poisoning the commit. Returns the per-request Status, OK for
-  // records that made it into the epoch.
-  template <typename GetRec>
-  static std::vector<Status> screen(size_t n, GetRec&& get,
-                                    std::vector<Record>* ins,
-                                    std::vector<Record>* ers) {
-    std::vector<Status> verdict(n);
+  // instead of poisoning the commit. The survivors form the epoch.
+  template <typename Req, typename Sink>
+  Epoch<Req> screen(std::vector<Req>& batch, std::atomic<uint64_t>* trigger,
+                    const Sink& sink) {
+    Epoch<Req> ep;
+    if (batch.empty()) return ep;
+    note_batch(batch.size(), trigger);
     std::unordered_set<uint32_t> epoch_ids;
-    for (size_t i = 0; i < n; ++i) {
-      auto [kind, rec] = get(i);
-      Status s = parallel::Sharded<Structure>::validate(rec, i);
-      if constexpr (requires(const Record& r) { r.id; }) {
-        if (s.ok() && kind == RequestKind::kInsert &&
-            !epoch_ids.insert(rec.id).second) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      Req& r = batch[i];
+      Status s = Layer::validate(r.rec, i);
+      if constexpr (requires(const Record& rec) { rec.id; }) {
+        if (s.ok() && r.kind == RequestKind::kInsert &&
+            !epoch_ids.insert(r.rec.id).second) {
           s = Status::InvalidArgument("submitted record " + std::to_string(i) +
                                       ": duplicate id " +
-                                      std::to_string(rec.id) +
+                                      std::to_string(r.rec.id) +
                                       " within epoch");
         }
       }
-      if (s.ok()) {
-        (kind == RequestKind::kInsert ? ins : ers)->push_back(rec);
-      }
-      verdict[i] = std::move(s);
-    }
-    return verdict;
-  }
-
-  // --- trace-mode internals ---------------------------------------------
-
-  void trace_flush_queries(std::vector<TraceReq>& pq, std::vector<Outcome>& out,
-                           uint64_t when, std::atomic<uint64_t>* trigger_ctr) {
-    if (pq.empty()) return;
-    note_batch(pq.size(), trigger_ctr);
-    auto snap = rep_[read_idx()]->snapshot();
-    std::vector<Query> qs;
-    qs.reserve(pq.size());
-    for (const TraceReq& r : pq) qs.push_back(r.query);
-    parallel::BatchResult<Item> res = Traits::run(*snap, qs, cfg_);
-    for (size_t i = 0; i < pq.size(); ++i) {
-      Outcome& o = out[pq[i].idx];
-      o.completed_at_us = when;
-      o.version = snap.version();
-      if (res.ok()) {
-        o.items = res.result(i);
-      } else {
-        // Poisoned batch: per-request isolation by re-running each query
-        // alone, so only requests whose own sub-batch trips see the fault.
-        parallel::BatchResult<Item> one = Traits::run(*snap, {qs[i]}, cfg_);
-        if (one.ok()) {
-          o.items = one.result(0);
-        } else {
-          o.status = one.status();
-          requests_failed_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
-    assert(snap.valid());
-    query_batches_.fetch_add(1, std::memory_order_relaxed);
-    pq.clear();
-  }
-
-  void trace_flush_updates(std::vector<TraceReq>& pu, std::vector<Outcome>& out,
-                           uint64_t when, std::atomic<uint64_t>* trigger_ctr) {
-    if (pu.empty()) return;
-    note_batch(pu.size(), trigger_ctr);
-    // A failed catch-up replay from the previous epoch must land before a
-    // new epoch may start (the twins' versions would diverge otherwise).
-    if (catchup_pending_) {
-      Expected<uint64_t> c =
-          apply_delta(write_rep(), inflight_.inserts, inflight_.erases);
-      if (c.ok()) {
-        catchup_pending_ = false;
-        inflight_.inserts.clear();
-        inflight_.erases.clear();
-      } else {
-        for (const TraceReq& r : pu) {
-          out[r.idx].status = c.status();
-          out[r.idx].completed_at_us = when;
-          requests_failed_.fetch_add(1, std::memory_order_relaxed);
-        }
-        pu.clear();
-        return;
-      }
-    }
-    std::vector<Record> ins, ers;
-    std::vector<Status> verdict = screen(
-        pu.size(),
-        [&](size_t i) {
-          return std::pair<RequestKind, const Record&>(pu[i].kind, pu[i].rec);
-        },
-        &ins, &ers);
-    std::vector<size_t> live;
-    for (size_t i = 0; i < pu.size(); ++i) {
-      if (verdict[i].ok()) {
-        live.push_back(pu[i].idx);
+      if (!s.ok()) {
+        complete(sink, r, std::move(s));
         continue;
       }
-      out[pu[i].idx].status = std::move(verdict[i]);
-      out[pu[i].idx].completed_at_us = when;
-      requests_failed_.fetch_add(1, std::memory_order_relaxed);
+      (r.kind == RequestKind::kInsert ? ep.inserts : ep.erases)
+          .push_back(r.rec);
+      ep.requests.push_back(std::move(r));
     }
-    pu.clear();
-    if (live.empty()) return;
-    Expected<uint64_t> r = apply_delta(write_rep(), ins, ers);
-    if (r.ok()) {
-      read_idx_.store(1 - read_idx(), std::memory_order_relaxed);
+    batch.clear();
+    return ep;
+  }
+
+  // Prepares the epoch against the live layer, retrying up to
+  // cfg_.commit_retries extra times (transient faults). Only reads the
+  // layer, so it may run beside query batches.
+  template <typename Req>
+  void prepare(Epoch<Req>& ep) {
+    for (int attempt = 0;; ++attempt) {
+      ep.plan = layer_.prepare_epoch(ep.inserts, ep.erases);
+      if (ep.plan.ok() || attempt >= cfg_.commit_retries) return;
+      commit_retries_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+
+  // Publishes a prepared epoch and completes its requests with the new
+  // version, or fails them all with the prepare's Status. Runs between
+  // query batches. Returns whether the epoch published.
+  template <typename Req, typename Sink>
+  bool publish_epoch(Epoch<Req>& ep, const Sink& sink) {
+    uint64_t version = 0;
+    if (ep.plan.ok()) {
+      version = layer_.publish(ep.plan.value());
       epochs_committed_.fetch_add(1, std::memory_order_relaxed);
-      for (size_t idx : live) {
-        out[idx].version = r.value();
-        out[idx].completed_at_us = when;
-      }
-      // Catch-up replay of the same delta into the now-stale twin.
-      Expected<uint64_t> c = apply_delta(write_rep(), ins, ers);
-      if (!c.ok()) {
-        inflight_.inserts = std::move(ins);
-        inflight_.erases = std::move(ers);
-        catchup_pending_ = true;
-      }
     } else {
       epochs_failed_.fetch_add(1, std::memory_order_relaxed);
-      for (size_t idx : live) {
-        out[idx].status = r.status();
-        out[idx].completed_at_us = when;
-        requests_failed_.fetch_add(1, std::memory_order_relaxed);
-      }
+    }
+    for (Req& r : ep.requests) complete(sink, r, ep.plan.status(), version);
+    return ep.plan.ok();
+  }
+
+  // Trace mode's epoch: the committer's and the batcher's steps, inline.
+  void commit_inline(std::vector<TraceReq>& batch,
+                     std::atomic<uint64_t>* trigger, const TraceSink& sink) {
+    Epoch<TraceReq> ep = screen(batch, trigger, sink);
+    if (ep.requests.empty()) return;
+    prepare(ep);
+    if (!publish_epoch(ep, sink)) return;
+    if (std::optional<Plan> rb = layer_.prepare_rebalance()) {
+      layer_.publish(*rb);
     }
   }
 
@@ -603,21 +575,27 @@ class Engine {
     PendingUpdate r;
     r.kind = kind;
     r.rec = rec;
-    r.admitted_us = now_us();
+    return admit(std::move(r), update_q_, updates_admitted_,
+                 updates_rejected_, "update admission queue full");
+  }
+
+  // Stamps a request's admission time and queues it, or completes it at
+  // once when the engine is stopped or the queue is full.
+  template <typename Req>
+  auto admit(Req r, BoundedMpscQueue<Req>& q, std::atomic<uint64_t>& admitted,
+             std::atomic<uint64_t>& rejected, const char* full) {
+    r.at = now_us();
     auto fut = r.done.get_future();
     if (!accepting_.load(std::memory_order_acquire)) {
-      r.done.set_value(Expected<uint64_t>(
-          Status::FailedPrecondition("serving engine is not running")));
-      return fut;
+      r.done.set_value(
+          Status::FailedPrecondition("serving engine is not running"));
+    } else if (!q.try_push(r)) {
+      rejected.fetch_add(1, std::memory_order_relaxed);
+      r.done.set_value(Status::ResourceExhausted(full));
+    } else {
+      admitted.fetch_add(1, std::memory_order_relaxed);
+      poke();
     }
-    if (!update_q_.try_push(r)) {
-      updates_rejected_.fetch_add(1, std::memory_order_relaxed);
-      r.done.set_value(Expected<uint64_t>(
-          Status::ResourceExhausted("update admission queue full")));
-      return fut;
-    }
-    updates_admitted_.fetch_add(1, std::memory_order_relaxed);
-    poke();
     return fut;
   }
 
@@ -633,12 +611,21 @@ class Engine {
     return phase_.load(std::memory_order_relaxed);
   }
 
+  // The flush trigger a forming batch has hit by `now`, or nullptr.
+  template <typename Req>
+  std::atomic<uint64_t>* due(const std::vector<Req>& batch, uint64_t now,
+                             bool stopping) {
+    if (batch.empty()) return nullptr;
+    if (batch.size() >= cfg_.max_batch) return &size_flushes_;
+    if (now >= deadline(batch)) return &deadline_flushes_;
+    return stopping ? &drain_flushes_ : nullptr;
+  }
+
   void batcher_loop() {
     std::vector<PendingQuery> pq;
     std::vector<PendingUpdate> pu;
-    int stop_catchup_attempts = 0;
     for (;;) {
-      pump_commit_completion();
+      publish_prepared();
       bool stopping = stop_requested_.load(std::memory_order_acquire);
       if (pq.size() < cfg_.max_batch) {
         query_q_.drain_into(pq, cfg_.max_batch - pq.size());
@@ -647,29 +634,14 @@ class Engine {
         update_q_.drain_into(pu, cfg_.max_batch - pu.size());
       }
       uint64_t now = now_us();
-      if (!pq.empty()) {
-        bool full = pq.size() >= cfg_.max_batch;
-        bool late = now >= pq.front().admitted_us + cfg_.max_delay_us;
-        if (full || late || stopping) {
-          run_query_batch(pq, full     ? &size_flushes_
-                              : late   ? &deadline_flushes_
-                                       : &drain_flushes_);
-        }
+      if (auto* trigger = due(pq, now, stopping)) {
+        run_queries(pq, trigger, kLive);
       }
-      bool commit_ready = phase() == CommitPhase::kIdle && !catchup_pending();
-      if (!pu.empty() && commit_ready) {
-        bool full = pu.size() >= cfg_.max_batch;
-        bool late = now >= pu.front().admitted_us + cfg_.max_delay_us;
-        if (full || late || stopping) {
-          hand_off_epoch(pu, full     ? &size_flushes_
-                             : late   ? &deadline_flushes_
-                                      : &drain_flushes_);
-        }
+      if (phase() == CommitPhase::kIdle) {
+        if (auto* trigger = due(pu, now, stopping)) hand_off(pu, trigger);
       }
-      maybe_retry_catchup(now, stopping, &stop_catchup_attempts);
       if (stopping && pq.empty() && pu.empty() && query_q_.empty() &&
-          update_q_.empty() && phase() == CommitPhase::kIdle &&
-          !catchup_pending()) {
+          update_q_.empty() && phase() == CommitPhase::kIdle) {
         break;
       }
       wait_for_work(pq, pu, stopping);
@@ -681,126 +653,40 @@ class Engine {
     commit_cv_.notify_all();
   }
 
-  bool catchup_pending() const {
-    std::lock_guard<std::mutex> lk(commit_mu_);
-    return catchup_pending_;
-  }
-
-  void run_query_batch(std::vector<PendingQuery>& batch,
-                       std::atomic<uint64_t>* trigger_ctr) {
-    note_batch(batch.size(), trigger_ctr);
-    bool overlap = phase() != CommitPhase::kIdle;
-    auto snap = rep_[read_idx()]->snapshot();
-    std::vector<Query> qs;
-    qs.reserve(batch.size());
-    for (const PendingQuery& r : batch) qs.push_back(r.query);
-    parallel::BatchResult<Item> res = Traits::run(*snap, qs, cfg_);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (res.ok()) {
-        batch[i].done.set_value(
-            Expected<QueryReply>(QueryReply{res.result(i), snap.version()}));
-        continue;
-      }
-      parallel::BatchResult<Item> one = Traits::run(*snap, {qs[i]}, cfg_);
-      if (one.ok()) {
-        batch[i].done.set_value(
-            Expected<QueryReply>(QueryReply{one.result(0), snap.version()}));
-      } else {
-        batch[i].done.set_value(Expected<QueryReply>(one.status()));
-        requests_failed_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    assert(snap.valid());
-    if (overlap) overlap_batches_.fetch_add(1, std::memory_order_relaxed);
-    query_batches_.fetch_add(1, std::memory_order_relaxed);
-    batch.clear();
-  }
-
-  void hand_off_epoch(std::vector<PendingUpdate>& pu,
-                      std::atomic<uint64_t>* trigger_ctr) {
-    note_batch(pu.size(), trigger_ctr);
-    Epoch ep;
-    std::vector<Status> verdict = screen(
-        pu.size(),
-        [&](size_t i) {
-          return std::pair<RequestKind, const Record&>(pu[i].kind, pu[i].rec);
-        },
-        &ep.inserts, &ep.erases);
-    for (size_t i = 0; i < pu.size(); ++i) {
-      if (verdict[i].ok()) {
-        ep.requests.push_back(std::move(pu[i]));
-        continue;
-      }
-      pu[i].done.set_value(Expected<uint64_t>(std::move(verdict[i])));
-      requests_failed_.fetch_add(1, std::memory_order_relaxed);
-    }
-    pu.clear();
+  void hand_off(std::vector<PendingUpdate>& batch,
+                std::atomic<uint64_t>* trigger) {
+    Epoch<PendingUpdate> ep = screen(batch, trigger, kLive);
     if (ep.requests.empty()) return;
     {
       std::lock_guard<std::mutex> lk(commit_mu_);
       inflight_ = std::move(ep);
-      phase_.store(CommitPhase::kApplying, std::memory_order_relaxed);
+      phase_.store(CommitPhase::kPreparing, std::memory_order_relaxed);
     }
     commit_cv_.notify_all();
   }
 
-  // Batcher side of the commit hand-shake: when the committer parked the
-  // epoch in kApplied, flip the read replica (between query batches, so no
-  // reader ever observes a mutation), complete the epoch's requests, and
-  // release the committer into the catch-up replay.
-  void pump_commit_completion() {
-    std::vector<PendingUpdate> done;
-    Status st;
-    uint64_t ver = 0;
-    {
-      std::lock_guard<std::mutex> lk(commit_mu_);
-      if (phase_.load(std::memory_order_relaxed) != CommitPhase::kApplied) {
-        return;
-      }
-      st = inflight_.status;
-      ver = inflight_.version;
-      done = std::move(inflight_.requests);
-      inflight_.requests.clear();
-      if (st.ok()) {
-        read_idx_.store(1 - read_idx(), std::memory_order_relaxed);
-        epochs_committed_.fetch_add(1, std::memory_order_relaxed);
-        phase_.store(CommitPhase::kCatchingUp, std::memory_order_relaxed);
-      } else {
-        epochs_failed_.fetch_add(1, std::memory_order_relaxed);
-        inflight_.inserts.clear();
-        inflight_.erases.clear();
-        phase_.store(CommitPhase::kIdle, std::memory_order_relaxed);
-      }
-    }
-    commit_cv_.notify_all();
-    for (PendingUpdate& r : done) {
-      if (st.ok()) {
-        r.done.set_value(Expected<uint64_t>(ver));
-      } else {
-        r.done.set_value(Expected<uint64_t>(st));
-        requests_failed_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-
-  void maybe_retry_catchup(uint64_t now, bool stopping,
-                           int* stop_catchup_attempts) {
+  // Batcher side of the hand-shake, between query batches: publishes a
+  // prepared epoch (completing its requests) or rebalance, and hands the
+  // spent plan to the committer to drop.
+  void publish_prepared() {
     std::unique_lock<std::mutex> lk(commit_mu_);
-    if (!catchup_pending_ || phase() != CommitPhase::kIdle) return;
-    if (stopping && ++*stop_catchup_attempts > 2) {
-      // Persistent failure across shutdown: give up so stop() terminates.
-      // The committed data is fully served by the read replica; only the
-      // stale twin is short one delta, so the engine marks itself degraded
-      // and refuses to restart.
-      inflight_.inserts.clear();
-      inflight_.erases.clear();
-      catchup_pending_ = false;
-      degraded_ = true;
-      catchup_abandoned_.fetch_add(1, std::memory_order_relaxed);
+    CommitPhase ph = phase();
+    if (ph == CommitPhase::kPrepared) {
+      Epoch<PendingUpdate> ep = std::move(inflight_);
+      lk.unlock();
+      bool ok = publish_epoch(ep, kLive);
+      lk.lock();
+      if (ok) spent_ = std::move(ep.plan).value();
+      phase_.store(ok ? CommitPhase::kRebalancing : CommitPhase::kIdle,
+                   std::memory_order_relaxed);
+    } else if (ph == CommitPhase::kRebalanced) {
+      layer_.publish(*rebalance_);
+      spent_ = std::move(rebalance_);
+      rebalance_.reset();
+      phase_.store(CommitPhase::kIdle, std::memory_order_relaxed);
+    } else {
       return;
     }
-    if (!stopping && now < last_catchup_us_ + cfg_.max_delay_us) return;
-    phase_.store(CommitPhase::kCatchingUp, std::memory_order_relaxed);
     lk.unlock();
     commit_cv_.notify_all();
   }
@@ -809,55 +695,40 @@ class Engine {
     std::unique_lock<std::mutex> lk(commit_mu_);
     for (;;) {
       commit_cv_.wait(lk, [&] {
-        CommitPhase ph = phase_.load(std::memory_order_relaxed);
-        return committer_exit_ || ph == CommitPhase::kApplying ||
-               ph == CommitPhase::kCatchingUp;
+        CommitPhase ph = phase();
+        return committer_exit_ || spent_ || ph == CommitPhase::kPreparing ||
+               ph == CommitPhase::kRebalancing;
       });
-      CommitPhase ph = phase_.load(std::memory_order_relaxed);
-      if (ph == CommitPhase::kApplying) {
-        std::vector<Record> ins = inflight_.inserts;
-        std::vector<Record> ers = inflight_.erases;
-        lk.unlock();
-        Expected<uint64_t> r = apply_delta(write_rep(), ins, ers);
-        lk.lock();
-        inflight_.status = r.status();
-        inflight_.version = r.ok() ? r.value() : 0;
-        phase_.store(CommitPhase::kApplied, std::memory_order_relaxed);
-        // poke() takes wake_mu_; never hold commit_mu_ across it (the
-        // batcher takes the two locks separately, in either order).
-        lk.unlock();
-        poke();  // batcher flips + completes
-        lk.lock();
-      } else if (ph == CommitPhase::kCatchingUp) {
-        std::vector<Record> ins = inflight_.inserts;
-        std::vector<Record> ers = inflight_.erases;
-        lk.unlock();
-        Expected<uint64_t> r = apply_delta(write_rep(), ins, ers);
-        lk.lock();
-        if (r.ok()) {
-          inflight_.inserts.clear();
-          inflight_.erases.clear();
-          catchup_pending_ = false;
-        } else {
-          catchup_pending_ = true;
-          last_catchup_us_ = now_us();
-        }
-        phase_.store(CommitPhase::kIdle, std::memory_order_relaxed);
-        lk.unlock();
-        poke();
-        lk.lock();
-      } else if (committer_exit_) {
-        break;
+      CommitPhase ph = phase();
+      if (committer_exit_ && !spent_ && ph == CommitPhase::kIdle) break;
+      std::optional<Plan> spent = std::exchange(spent_, std::nullopt);
+      lk.unlock();
+      spent.reset();  // frees what the batcher's last publish displaced
+      std::optional<Plan> rb;
+      if (ph == CommitPhase::kPreparing) {
+        prepare(inflight_);  // the batcher leaves inflight_ alone meanwhile
+      } else if (ph == CommitPhase::kRebalancing) {
+        rb = layer_.prepare_rebalance();
       }
+      lk.lock();
+      if (ph == CommitPhase::kPreparing) {
+        phase_.store(CommitPhase::kPrepared, std::memory_order_relaxed);
+      } else if (ph == CommitPhase::kRebalancing) {
+        rebalance_ = std::move(rb);
+        phase_.store(rebalance_ ? CommitPhase::kRebalanced : CommitPhase::kIdle,
+                     std::memory_order_relaxed);
+      } else {
+        continue;
+      }
+      lk.unlock();
+      poke();  // the batcher publishes, or may hand off the next epoch
+      lk.lock();
     }
   }
 
   void wait_for_work(const std::vector<PendingQuery>& pq,
                      const std::vector<PendingUpdate>& pu, bool stopping) {
-    // Evaluated before wake_mu_ is taken: catchup_pending() locks
-    // commit_mu_, and commit_mu_ must never nest inside wake_mu_.
-    bool commit_ready =
-        phase() == CommitPhase::kIdle && !catchup_pending();
+    bool commit_ready = phase() == CommitPhase::kIdle;
     std::unique_lock<std::mutex> lk(wake_mu_);
     if (wake_pending_) {
       wake_pending_ = false;
@@ -865,15 +736,10 @@ class Engine {
     }
     uint64_t now = now_us();
     constexpr uint64_t kIdleWaitUs = 5000;
-    uint64_t next = now + kIdleWaitUs;
-    if (!pq.empty()) {
-      next = std::min(next, pq.front().admitted_us + cfg_.max_delay_us);
-    }
+    uint64_t next = std::min(now + kIdleWaitUs, deadline(pq));
     // An update deadline only matters when the committer could accept the
-    // epoch; otherwise the committer's completion poke is the wake signal.
-    if (!pu.empty() && commit_ready) {
-      next = std::min(next, pu.front().admitted_us + cfg_.max_delay_us);
-    }
+    // epoch; otherwise the committer's poke is the wake signal.
+    if (commit_ready) next = std::min(next, deadline(pu));
     if (stopping) next = std::min(next, now + 200);
     if (next <= now) return;
     wake_cv_.wait_for(lk, std::chrono::microseconds(next - now));
@@ -883,15 +749,13 @@ class Engine {
   // --- members ----------------------------------------------------------
 
   const Config cfg_;
-  std::unique_ptr<parallel::Sharded<Structure>> rep_[2];
-  std::atomic<size_t> read_idx_{0};
+  Layer layer_;
 
   BoundedMpscQueue<PendingQuery> query_q_;
   BoundedMpscQueue<PendingUpdate> update_q_;
 
   std::thread batcher_, committer_;
   bool running_ = false;
-  bool degraded_ = false;
   std::atomic<bool> accepting_{false};
   std::atomic<bool> stop_requested_{false};
 
@@ -899,13 +763,16 @@ class Engine {
   std::condition_variable wake_cv_;
   bool wake_pending_ = false;
 
-  mutable std::mutex commit_mu_;
+  // The commit hand-shake, guarded by commit_mu_: the epoch between
+  // hand-off and publish, a prepared rebalance, and the last published plan
+  // until the committer drops it.
+  std::mutex commit_mu_;
   std::condition_variable commit_cv_;
   std::atomic<CommitPhase> phase_{CommitPhase::kIdle};
   bool committer_exit_ = false;
-  bool catchup_pending_ = false;
-  uint64_t last_catchup_us_ = 0;
-  Epoch inflight_;
+  Epoch<PendingUpdate> inflight_;
+  std::optional<Plan> rebalance_;
+  std::optional<Plan> spent_;
 
   std::chrono::steady_clock::time_point start_tp_;
 
@@ -916,7 +783,7 @@ class Engine {
   std::atomic<uint64_t> size_flushes_{0}, deadline_flushes_{0},
       drain_flushes_{0};
   std::atomic<uint64_t> epochs_committed_{0}, epochs_failed_{0};
-  std::atomic<uint64_t> commit_retries_{0}, catchup_abandoned_{0};
+  std::atomic<uint64_t> commit_retries_{0};
   std::atomic<uint64_t> overlap_batches_{0};
   std::array<std::atomic<uint64_t>, 20> batch_size_hist_{};
 };

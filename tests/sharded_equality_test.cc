@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -426,6 +427,66 @@ TEST(ShardedEquality, ForestRandomEpochsMatchOracle) {
     }
     EXPECT_GT(sf.rebalances(), 0u) << "seed " << seed;
   }
+}
+
+// prepare_epoch only reads: dropping its plan leaves a range-routed forest
+// layer exactly as it was — version, size, the split points, and kNN and
+// range results all bitwise unchanged. Covers the first epoch (whose plan
+// carries the seeded split points), a normal epoch, and an epoch where
+// shard_apply trips; a tripped first commit() seeds nothing either.
+TEST(ShardedEquality, DroppedEpochPlansLeaveLayerUnchanged) {
+  using geom::Point2;
+  using Layer = Sharded<LogForest<2>>;
+  auto pts = testing::random_points<2>(6000, 0xD80);
+  std::vector<Point2> base(pts.begin(), pts.begin() + 4000);
+  std::vector<Point2> extra(pts.begin() + 4000, pts.end());
+  std::vector<Point2> gone(base.begin(), base.begin() + 1000);
+  auto boxes = box_queries(32, 0xD81);
+  auto near = testing::random_points<2>(16, 0xD82);
+  auto state = [&](const Layer& l) {
+    auto knn = l.knn_batch(near, 8);
+    auto rep = l.range_report_batch(boxes);
+    return std::make_tuple(l.version(), l.size(), l.bounds_built(), l.splits(),
+                           knn.items(), knn.offsets(), rep.items(),
+                           rep.offsets(), l.range_count_batch(boxes));
+  };
+
+  Layer layer(parallel::Routing::kRange, 4);
+  auto before = state(layer);
+  ASSERT_TRUE(layer.prepare_epoch(base, {}).ok());  // first epoch, dropped
+  EXPECT_EQ(state(layer), before);
+  EXPECT_TRUE(layer.splits().empty());
+  ASSERT_TRUE(layer.bulk_insert(base).ok());
+  ASSERT_TRUE(layer.bounds_built());
+
+  before = state(layer);
+  ASSERT_TRUE(layer.prepare_epoch(extra, gone).ok());  // normal, dropped
+  EXPECT_EQ(state(layer), before);
+  {
+    fault::ScopedFault guard("shard_apply", /*seed=*/0,
+                             layer.shard_of(extra[0]));
+    auto plan = layer.prepare_epoch(extra, gone);
+    ASSERT_FALSE(plan.ok());
+    EXPECT_EQ(plan.status().code(), StatusCode::kFaultInjected);
+  }
+  EXPECT_EQ(state(layer), before);
+
+  Layer fresh(parallel::Routing::kRange, 4);
+  for (const Point2& p : base) fresh.stage_insert(p);
+  {
+    fault::ScopedFault guard("shard_apply", /*seed=*/0, /*nth=*/0);
+    ASSERT_FALSE(fresh.commit().ok());
+  }
+  EXPECT_FALSE(fresh.bounds_built());
+  EXPECT_TRUE(fresh.splits().empty());
+  EXPECT_EQ(fresh.version(), 0u);
+
+  // Published, the same epoch lands.
+  auto plan = layer.prepare_epoch(extra, gone);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(layer.publish(plan.value()), std::get<0>(before) + 1);
+  EXPECT_EQ(plan.value().erased(), gone.size());
+  EXPECT_EQ(layer.size(), base.size() + extra.size() - gone.size());
 }
 
 TEST(ShardedEquality, ShardedCountsScheduleIndependent) {
