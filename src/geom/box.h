@@ -22,6 +22,16 @@ struct BoxK {
     return b;
   }
 
+  // All of space: the root region of the k-d traversals.
+  static BoxK whole() {
+    BoxK b;
+    for (int d = 0; d < K; ++d) {
+      b.lo[d] = -std::numeric_limits<double>::infinity();
+      b.hi[d] = std::numeric_limits<double>::infinity();
+    }
+    return b;
+  }
+
   void extend(const PointK<K>& p) {
     for (int d = 0; d < K; ++d) {
       lo[d] = std::min(lo[d], p[d]);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <queue>
 #include <type_traits>
 #include <utility>
 
@@ -14,17 +13,6 @@
 namespace weg::kdtree {
 
 namespace {
-
-// A record or query point with a NaN/inf coordinate breaks every comparison
-// the traversals rely on; bulk mutation paths reject such records before the
-// first write, and query paths define the result (empty / nullopt) instead.
-template <int K>
-bool finite_point(const geom::PointK<K>& p) {
-  for (int d = 0; d < K; ++d) {
-    if (!std::isfinite(p[d])) return false;
-  }
-  return true;
-}
 
 // Shared pre-mutation validation of a bulk batch: one charged scan.
 template <int K>
@@ -371,166 +359,10 @@ std::vector<typename LogForest<K>::Point> LogForest<K>::range_report(
 }
 
 template <int K>
-std::vector<size_t> LogForest<K>::range_count_batch(
-    const std::vector<Box>& qs, const QueryOptions& opts) const {
-  detail::BatchStatsScope bs(qs.size(), opts);
-  return parallel::batch_map<size_t>(
-      qs.size(), [&](size_t i) { return range_count(qs[i], bs.at(i)); });
-}
-
-template <int K>
-parallel::BatchResult<typename LogForest<K>::Point>
-LogForest<K>::range_report_batch(const std::vector<Box>& qs,
-                                 const QueryOptions& opts) const {
-  detail::BatchStatsScope bs(qs.size(), opts);
-  // Stats from the count pass are not double-counted: only the report pass
-  // feeds the per-query slots.
-  QueryOptions count_opts = opts;
-  count_opts.stats = nullptr;
-  return parallel::batch_two_phase<Point>(
-      qs.size(), [&](size_t i) { return range_count(qs[i], count_opts); },
-      [&](size_t i, Point* out) {
-        ForestReportIntoVisitor<Point> vis{out};
-        range_visit(qs[i], vis, bs.at(i));
-      });
-}
-
-template <int K>
-std::vector<std::optional<typename LogForest<K>::Point>>
-LogForest<K>::ann_batch(const std::vector<Point>& qs, double eps,
-                        const QueryOptions& opts) const {
-  detail::BatchStatsScope bs(qs.size(), opts);
-  return parallel::batch_map<std::optional<Point>>(
-      qs.size(), [&](size_t i) { return ann(qs[i], eps, bs.at(i)); });
-}
-
-template <int K>
-std::optional<typename LogForest<K>::Point> LogForest<K>::ann(
-    const Point& q, double eps, const QueryOptions& opts) const {
-  if (!finite_point<K>(q)) return std::nullopt;
-  std::optional<Point> best;
-  double best_sq = std::numeric_limits<double>::infinity();
-  for (const Level& L : levels_) {
-    if (!L.used) continue;
-    if (L.dead == 0) {
-      size_t idx = L.tree.ann(q, eps, opts);
-      if (idx == SIZE_MAX) continue;
-      double d2 = geom::squared_distance(L.tree.points()[idx], q);
-      // Canonical (distance, coordinates) order on cross-level ties.
-      if (d2 < best_sq || (d2 == best_sq && best &&
-                           L.tree.points()[idx].coords < best->coords)) {
-        best_sq = d2;
-        best = L.tree.points()[idx];
-      }
-    } else {
-      // With dead points, fall back to k-NN enumeration until a live point
-      // is found (dead fraction < 1/2, so expected O(1) extra candidates).
-      const auto& pts = L.tree.points();
-      size_t k = 2;
-      while (k < 2 * pts.size()) {
-        auto cand = L.tree.knn(q, k, opts);
-        bool found = false;
-        for (size_t idx : cand) {
-          if (L.alive[idx]) {
-            double d2 = geom::squared_distance(pts[idx], q);
-            if (d2 < best_sq ||
-                (d2 == best_sq && best && pts[idx].coords < best->coords)) {
-              best_sq = d2;
-              best = pts[idx];
-            }
-            found = true;
-            break;
-          }
-        }
-        if (found || cand.size() < k) break;
-        k *= 2;
-      }
-    }
-  }
-  return best;
-}
-
-template <int K>
-std::vector<std::pair<double, typename LogForest<K>::Point>>
-LogForest<K>::knn_candidates(const Point& q, size_t k,
-                             const QueryOptions& opts) const {
-  std::vector<std::pair<double, Point>> cand;
-  if (k == 0 || live_ == 0 || !finite_point<K>(q)) return cand;
-  for (const Level& L : levels_) {
-    if (!L.used) continue;
-    const auto& pts = L.tree.points();
-    if (L.dead == 0) {
-      for (size_t idx : L.tree.knn(q, k, opts)) {
-        cand.emplace_back(geom::squared_distance(pts[idx], q), pts[idx]);
-      }
-      continue;
-    }
-    // Dead points present: enumerate with doubling k until the level yields
-    // its min(k, live-here) nearest live points (dead fraction < 1/2, so
-    // expected O(1) doubling rounds).
-    size_t live_here = pts.size() - L.dead;
-    size_t want = std::min(k, live_here);
-    if (want == 0) continue;
-    size_t kk = k;
-    while (true) {
-      auto res = L.tree.knn(q, kk, opts);
-      std::vector<size_t> live_idx;
-      for (size_t idx : res) {
-        if (L.alive[idx]) live_idx.push_back(idx);
-      }
-      if (live_idx.size() >= want || res.size() == pts.size()) {
-        for (size_t j = 0; j < want; ++j) {
-          size_t idx = live_idx[j];
-          cand.emplace_back(geom::squared_distance(pts[idx], q), pts[idx]);
-        }
-        break;
-      }
-      kk *= 2;
-    }
-  }
-  // Canonical order: (squared distance, coordinates lexicographic). Distance
-  // ties between bitwise-identical points are order-irrelevant; ties between
-  // distinct points are broken by coordinates so every fanout agrees.
-  std::sort(cand.begin(), cand.end(),
-            [](const std::pair<double, Point>& a,
-               const std::pair<double, Point>& b) {
-              if (a.first != b.first) return a.first < b.first;
-              return a.second.coords < b.second.coords;
-            });
-  size_t per = std::min(k, live_);
-  if (cand.size() > per) cand.resize(per);
-  return cand;
-}
-
-template <int K>
-std::vector<typename LogForest<K>::Point> LogForest<K>::knn(
-    const Point& q, size_t k, const QueryOptions& opts) const {
-  auto cand = knn_candidates(q, k, opts);
-  std::vector<Point> out;
-  out.reserve(cand.size());
-  asym::count_write(cand.size());
-  for (const auto& [d2, p] : cand) out.push_back(p);
-  return out;
-}
-
-template <int K>
-parallel::BatchResult<typename LogForest<K>::Point> LogForest<K>::knn_batch(
-    const std::vector<Point>& qs, size_t k, const QueryOptions& opts) const {
-  // A finite query returns exactly min(k, live) neighbors, so the count
-  // pass is nearly free: slice sizes are a function of k, the forest, and
-  // the query's finiteness alone (a non-finite query yields an empty slice,
-  // matching knn_candidates' guard).
-  size_t per = std::min(k, live_);
-  detail::BatchStatsScope bs(qs.size(), opts);
-  return parallel::batch_two_phase<Point>(
-      qs.size(),
-      [&](size_t i) { return finite_point<K>(qs[i]) ? per : size_t{0}; },
-      [&](size_t i, Point* out) {
-        if (per == 0 || !finite_point<K>(qs[i])) return;
-        auto cand = knn_candidates(qs[i], k, bs.at(i));
-        asym::count_write(cand.size());
-        for (const auto& [d2, p] : cand) *out++ = p;
-      });
+void LogForest<K>::report_into(const Box& query, Point* out,
+                               const QueryOptions& opts) const {
+  ForestReportIntoVisitor<Point> vis{out};
+  range_visit(query, vis, opts);
 }
 
 template <int K>
@@ -1020,187 +852,15 @@ std::vector<typename DynamicKdTree<K>::Point> DynamicKdTree<K>::range_report(
 }
 
 template <int K>
-std::vector<size_t> DynamicKdTree<K>::range_count_batch(
-    const std::vector<Box>& qs, const QueryOptions& opts) const {
-  detail::BatchStatsScope bs(qs.size(), opts);
-  return parallel::batch_map<size_t>(
-      qs.size(), [&](size_t i) { return range_count(qs[i], bs.at(i)); });
-}
-
-template <int K>
-parallel::BatchResult<typename DynamicKdTree<K>::Point>
-DynamicKdTree<K>::range_report_batch(const std::vector<Box>& qs,
-                                     const QueryOptions& opts) const {
-  detail::BatchStatsScope bs(qs.size(), opts);
-  QueryOptions count_opts = opts;
-  count_opts.stats = nullptr;
-  return parallel::batch_two_phase<Point>(
-      qs.size(), [&](size_t i) { return range_count(qs[i], count_opts); },
-      [&](size_t i, Point* out) {
-        QueryOptions o = bs.at(i);
-        range_visit(
-            qs[i],
-            [&](const Point& pt) {
-              asym::count_write();
-              *out++ = pt;
-            },
-            o);
-      });
-}
-
-template <int K>
-std::vector<std::optional<typename DynamicKdTree<K>::Point>>
-DynamicKdTree<K>::ann_batch(const std::vector<Point>& qs, double eps,
-                            const QueryOptions& opts) const {
-  detail::BatchStatsScope bs(qs.size(), opts);
-  return parallel::batch_map<std::optional<Point>>(
-      qs.size(), [&](size_t i) { return ann(qs[i], eps, bs.at(i)); });
-}
-
-template <int K>
-std::optional<typename DynamicKdTree<K>::Point> DynamicKdTree<K>::ann(
-    const Point& q, double eps, const QueryOptions& opts) const {
-  if (root_ == kNullNode || live_ == 0 || !finite_point<K>(q)) {
-    return std::nullopt;
-  }
-  double best_sq = std::numeric_limits<double>::infinity();
-  std::optional<Point> best;
-  double prune = 1.0 / ((1.0 + eps) * (1.0 + eps));
-  Box all;
-  for (int d = 0; d < K; ++d) {
-    all.lo[d] = -std::numeric_limits<double>::infinity();
-    all.hi[d] = std::numeric_limits<double>::infinity();
-  }
-  auto rec = [&](auto&& self, uint32_t v, Box region) -> void {
-    if (region.squared_distance(q) > best_sq * prune) return;
-    const Node& nd = pool_[v];
-    if (opts.stats) ++opts.stats->nodes_visited;
-    asym::count_read();
-    // Tight-box short-circuit: the node box lower-bounds every live-point
-    // distance in the subtree and is never looser than the split region.
-    if (opts.count_fast_path &&
-        nd.box.squared_distance(q) > best_sq * prune) {
-      if (opts.stats) ++opts.stats->covered_subtrees;
-      return;
-    }
-    if (nd.is_leaf()) {
-      for (const auto& [pt, alive] : nd.leaf_pts) {
-        asym::count_read();
-        if (opts.stats) ++opts.stats->points_scanned;
-        if (!alive) continue;
-        double d2 = geom::squared_distance(pt, q);
-        // Canonical (distance, coordinates) order on ties, matching the
-        // static tree's visitors and the sharded top-1 merge.
-        if (d2 < best_sq ||
-            (d2 == best_sq && best && pt.coords < best->coords)) {
-          best_sq = d2;
-          best = pt;
-        }
-      }
-      return;
-    }
-    Box lr = region, rr = region;
-    lr.hi[nd.dim] = nd.split;
-    rr.lo[nd.dim] = nd.split;
-    if (q[nd.dim] <= nd.split) {
-      self(self, nd.left, lr);
-      self(self, nd.right, rr);
-    } else {
-      self(self, nd.right, rr);
-      self(self, nd.left, lr);
-    }
-  };
-  rec(rec, root_, all);
-  return best;
-}
-
-template <int K>
-std::vector<typename DynamicKdTree<K>::Point> DynamicKdTree<K>::knn(
-    const Point& q, size_t k, const QueryOptions& opts) const {
-  std::vector<Point> out;
-  if (k == 0 || live_ == 0 || root_ == kNullNode || !finite_point<K>(q)) {
-    return out;
-  }
-  // Max-heap of (distance^2, point) under the canonical (d2, coords) order,
-  // matching the static tree's KnnVisitor and the sharded top-k merge.
-  using Entry = std::pair<double, Point>;
-  auto canon = [](const Entry& a, const Entry& b) {
-    if (a.first != b.first) return a.first < b.first;
-    return a.second.coords < b.second.coords;
-  };
-  std::priority_queue<Entry, std::vector<Entry>, decltype(canon)> heap(canon);
-  size_t want = std::min(k, live_);
-  auto bound = [&] {
-    return heap.size() < want ? std::numeric_limits<double>::infinity()
-                              : heap.top().first;
-  };
-  Box all;
-  for (int d = 0; d < K; ++d) {
-    all.lo[d] = -std::numeric_limits<double>::infinity();
-    all.hi[d] = std::numeric_limits<double>::infinity();
-  }
-  auto rec = [&](auto&& self, uint32_t v, Box region) -> void {
-    if (region.squared_distance(q) > bound()) return;
-    const Node& nd = pool_[v];
-    if (opts.stats) ++opts.stats->nodes_visited;
-    asym::count_read();
-    // Tight-box short-circuit (strict, so distance-tied candidates still
-    // reach the heap and the canonical order decides).
-    if (opts.count_fast_path && nd.box.squared_distance(q) > bound()) {
-      if (opts.stats) ++opts.stats->covered_subtrees;
-      return;
-    }
-    if (nd.is_leaf()) {
-      for (const auto& [pt, alive] : nd.leaf_pts) {
-        asym::count_read();
-        if (opts.stats) ++opts.stats->points_scanned;
-        if (!alive) continue;
-        Entry e{geom::squared_distance(pt, q), pt};
-        if (heap.size() < want) {
-          heap.push(e);
-        } else if (canon(e, heap.top())) {
-          heap.push(e);
-          heap.pop();
-        }
-      }
-      return;
-    }
-    Box lr = region, rr = region;
-    lr.hi[nd.dim] = nd.split;
-    rr.lo[nd.dim] = nd.split;
-    if (q[nd.dim] <= nd.split) {
-      self(self, nd.left, lr);
-      self(self, nd.right, rr);
-    } else {
-      self(self, nd.right, rr);
-      self(self, nd.left, lr);
-    }
-  };
-  rec(rec, root_, all);
-  out.resize(heap.size());
-  asym::count_write(out.size());
-  for (size_t i = out.size(); i-- > 0;) {
-    out[i] = heap.top().second;
-    heap.pop();
-  }
-  return out;
-}
-
-template <int K>
-parallel::BatchResult<typename DynamicKdTree<K>::Point>
-DynamicKdTree<K>::knn_batch(const std::vector<Point>& qs, size_t k,
-                            const QueryOptions& opts) const {
-  // A finite query returns exactly min(k, live) neighbors, so the count
-  // pass is nearly free (mirrors LogForest::knn_batch).
-  size_t per = std::min(k, live_);
-  detail::BatchStatsScope bs(qs.size(), opts);
-  return parallel::batch_two_phase<Point>(
-      qs.size(),
-      [&](size_t i) { return finite_point<K>(qs[i]) ? per : size_t{0}; },
-      [&](size_t i, Point* out) {
-        if (per == 0 || !finite_point<K>(qs[i])) return;
-        for (const Point& p : knn(qs[i], k, bs.at(i))) *out++ = p;
-      });
+void DynamicKdTree<K>::report_into(const Box& query, Point* out,
+                                   const QueryOptions& opts) const {
+  range_visit(
+      query,
+      [&](const Point& pt) {
+        asym::count_write();
+        *out++ = pt;
+      },
+      opts);
 }
 
 template <int K>
@@ -1247,12 +907,7 @@ bool DynamicKdTree<K>::validate() const {
     if (l + r != nd.live) ok = false;
     return l + r;
   };
-  Box all;
-  for (int d = 0; d < K; ++d) {
-    all.lo[d] = -std::numeric_limits<double>::infinity();
-    all.hi[d] = std::numeric_limits<double>::infinity();
-  }
-  rec(rec, root_, all);
+  rec(rec, root_, Box::whole());
   return ok && live_seen == live_;
 }
 

@@ -10,7 +10,9 @@
 //    (RebuildMode::PBatched) cuts the *writes* per insertion to O(log n)
 //    while reads stay O(log^2 n), exactly the trade the paper describes.
 //    Deletions mark points dead and the forest is compacted once half of
-//    all points are dead (amortized O(1) writes per deletion).
+//    all points are dead (amortized O(1) writes per deletion). A nearest-
+//    neighbour query is one pass: one visitor spans every level, so the
+//    levels share one bound, and dead points are read but never offered.
 //
 //  * DynamicKdTree — single-tree version: subtree sizes are maintained and a
 //    subtree is reconstructed whenever the weights of its two children
@@ -19,6 +21,11 @@
 //    the O(n^((k-1)/k)) range query bound) at O(log^3 n) amortized work per
 //    insertion; Mode::AnnOnly tolerates a constant-factor imbalance (height
 //    O(log n)) at O(log^2 n) amortized work.
+//
+// Both answer through the k-d family's shared core (src/kdtree/queries.h):
+// the canonical (distance^2, coordinates) order, the NearestOne / NearestK
+// visitors, and the batched entry points, instantiated over each
+// structure's one nn_visit and one range_visit.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +57,7 @@ concept LevelCoveredVisitor =
 }  // namespace detail
 
 template <int K>
-class LogForest {
+class LogForest : public KdQueries<LogForest<K>, K> {
  public:
   using Point = geom::PointK<K>;
   using Box = geom::BoxK<K>;
@@ -101,31 +108,21 @@ class LogForest {
   size_t range_count(const Box& query, const QueryOptions& opts = {}) const;
   std::vector<Point> range_report(const Box& query,
                                   const QueryOptions& opts = {}) const;
-  // (1+eps)-ANN over the whole forest; returns the point itself. A
-  // non-finite query yields nullopt (distances to NaN are unordered).
+  // (1+eps)-ANN over the live points of every level; nullopt when the
+  // forest is empty or q is not finite.
   std::optional<Point> ann(const Point& q, double eps = 0.0,
-                           const QueryOptions& opts = {}) const;
+                           const QueryOptions& opts = {}) const {
+    return this->ann_point(q, eps, opts);
+  }
   // Exact k nearest neighbors over the live points of all levels, returned
   // as points sorted by (squared distance, coordinates) — the canonical
   // order the sharded layer's top-k merge assumes. Returns exactly
-  // min(k, size()) points; k == 0 or a non-finite query yields none.
+  // min(k, size()) points; k == 0 or a non-finite query yields none. The
+  // batched forms come from KdQueries.
   std::vector<Point> knn(const Point& q, size_t k,
-                         const QueryOptions& opts = {}) const;
-
-  // Batched queries on the shared two-phase engine (the unified contract —
-  // see docs/ARCHITECTURE.md "Count augmentation & pruning").
-  std::vector<size_t> range_count_batch(const std::vector<Box>& qs,
-                                        const QueryOptions& opts = {}) const;
-  parallel::BatchResult<Point> range_report_batch(
-      const std::vector<Box>& qs, const QueryOptions& opts = {}) const;
-  std::vector<std::optional<Point>> ann_batch(
-      const std::vector<Point>& qs, double eps = 0.0,
-      const QueryOptions& opts = {}) const;
-  // Flat k-NN over all queries: query i's neighbors occupy slice i; every
-  // query yields exactly min(k, size()) results, so the count pass is free.
-  parallel::BatchResult<Point> knn_batch(const std::vector<Point>& qs,
-                                         size_t k,
-                                         const QueryOptions& opts = {}) const;
+                         const QueryOptions& opts = {}) const {
+    return this->knn_points(q, k, opts);
+  }
 
   size_t size() const { return live_; }
   size_t num_trees() const;
@@ -200,6 +197,33 @@ class LogForest {
     }
   }
 
+  // The single nearest-neighbour traversal: one visitor runs across every
+  // used level through KdTree::nn_visit, so the candidate set and its bound
+  // are shared — a later level prunes against the best candidates of the
+  // earlier ones. Dead slots are read (and charged) like live ones but
+  // never offered.
+  template <typename V>
+  void nn_visit(const Point& q, V& vis, const QueryOptions& opts) const {
+    for (const Level& L : levels_) {
+      if (!L.used) continue;
+      struct LiveOnly {
+        const Level* L;
+        V* vis;
+        double bound() const { return vis->bound(); }
+        void offer(const Point& p, double d2) {
+          // p is an element of L's point array; its slot indexes `alive`.
+          size_t slot = size_t(&p - L->tree.points().data());
+          if (L->dead == 0 || L->alive[slot]) vis->offer(p, d2);
+        }
+      } live{&L, &vis};
+      L.tree.nn_visit(q, live, opts);
+    }
+  }
+  // The reporting range traversal behind range_report_batch.
+  void report_into(const Box& query, Point* out,
+                   const QueryOptions& opts) const;
+  friend class KdQueries<LogForest, K>;
+
   // A plan that changes nothing, against the current state. Every mutation
   // (insert, erase, the bulk ops) plans on one of these and applies it.
   Delta empty_plan() const;
@@ -228,12 +252,6 @@ class LogForest {
   // half-dead compaction check.
   void plan_erase(Delta& d, const std::vector<Point>& ers) const;
   KdTree<K> build(std::vector<Point> pts) const;
-  // k-NN candidates as (squared distance, point), sorted by (distance,
-  // coordinates) and truncated to min(k, size()) entries. knn and knn_batch
-  // both instantiate the per-level gathering; output writes are charged by
-  // the callers.
-  std::vector<std::pair<double, Point>> knn_candidates(
-      const Point& q, size_t k, const QueryOptions& opts) const;
 
   RebuildMode mode_;
   size_t leaf_size_;
@@ -243,7 +261,7 @@ class LogForest {
 };
 
 template <int K>
-class DynamicKdTree {
+class DynamicKdTree : public KdQueries<DynamicKdTree<K>, K> {
  public:
   using Point = geom::PointK<K>;
   using Box = geom::BoxK<K>;
@@ -285,30 +303,20 @@ class DynamicKdTree {
   size_t range_count(const Box& query, const QueryOptions& opts = {}) const;
   std::vector<Point> range_report(const Box& query,
                                   const QueryOptions& opts = {}) const;
-  // A non-finite query yields nullopt (distances to NaN are unordered).
+  // (1+eps)-ANN over the live points; nullopt when the tree is empty or q is
+  // not finite.
   std::optional<Point> ann(const Point& q, double eps = 0.0,
-                           const QueryOptions& opts = {}) const;
+                           const QueryOptions& opts = {}) const {
+    return this->ann_point(q, eps, opts);
+  }
   // Exact k nearest live neighbors, returned as points sorted by (squared
   // distance, coordinates) — the canonical order the sharded layer's top-k
   // merge assumes. Returns exactly min(k, size()) points; k == 0 or a
-  // non-finite query yields none.
+  // non-finite query yields none. The batched forms come from KdQueries.
   std::vector<Point> knn(const Point& q, size_t k,
-                         const QueryOptions& opts = {}) const;
-
-  // Batched queries on the shared two-phase engine (the unified contract —
-  // see docs/ARCHITECTURE.md "Count augmentation & pruning").
-  std::vector<size_t> range_count_batch(const std::vector<Box>& qs,
-                                        const QueryOptions& opts = {}) const;
-  parallel::BatchResult<Point> range_report_batch(
-      const std::vector<Box>& qs, const QueryOptions& opts = {}) const;
-  std::vector<std::optional<Point>> ann_batch(
-      const std::vector<Point>& qs, double eps = 0.0,
-      const QueryOptions& opts = {}) const;
-  // Flat k-NN over all queries: query i's neighbors occupy slice i; every
-  // query yields exactly min(k, size()) results, so the count pass is free.
-  parallel::BatchResult<Point> knn_batch(const std::vector<Point>& qs,
-                                         size_t k,
-                                         const QueryOptions& opts = {}) const;
+                         const QueryOptions& opts = {}) const {
+    return this->knn_points(q, k, opts);
+  }
 
   size_t size() const { return live_; }
   // Every live point, in deterministic DFS order — the record extraction
@@ -350,6 +358,48 @@ class DynamicKdTree {
   // resurrect dead points).
   template <typename V>
   void range_visit(const Box& query, V&& vis, const QueryOptions& opts) const;
+  // The reporting range traversal behind range_report_batch.
+  void report_into(const Box& query, Point* out,
+                   const QueryOptions& opts) const;
+  // The single nearest-neighbour traversal (ann, knn and their batches):
+  // KdTree::nn_visit's two-tier pruning — split region before the node
+  // read, conservative node box after it — over the live points only. Dead
+  // leaf points are read (and charged) but never offered.
+  template <typename V>
+  void nn_visit(const Point& q, V& vis, const QueryOptions& opts) const {
+    if (root_ != kNullNode) nn_visit_rec(root_, Box::whole(), q, vis, opts);
+  }
+  template <typename V>
+  void nn_visit_rec(uint32_t v, const Box& region, const Point& q, V& vis,
+                    const QueryOptions& opts) const {
+    if (region.squared_distance(q) > vis.bound()) return;
+    if (opts.stats) ++opts.stats->nodes_visited;
+    asym::count_read();
+    const Node& nd = pool_[v];
+    if (opts.count_fast_path && nd.box.squared_distance(q) > vis.bound()) {
+      if (opts.stats) ++opts.stats->covered_subtrees;
+      return;
+    }
+    if (nd.is_leaf()) {
+      for (const auto& [pt, alive] : nd.leaf_pts) {
+        asym::count_read();
+        if (opts.stats) ++opts.stats->points_scanned;
+        if (alive) vis.offer(pt, geom::squared_distance(pt, q));
+      }
+      return;
+    }
+    Box lr = region, rr = region;
+    lr.hi[nd.dim] = nd.split;
+    rr.lo[nd.dim] = nd.split;
+    if (q[nd.dim] <= nd.split) {
+      nn_visit_rec(nd.left, lr, q, vis, opts);
+      nn_visit_rec(nd.right, rr, q, vis, opts);
+    } else {
+      nn_visit_rec(nd.right, rr, q, vis, opts);
+      nn_visit_rec(nd.left, lr, q, vis, opts);
+    }
+  }
+  friend class KdQueries<DynamicKdTree, K>;
   void collect_alive(uint32_t v, std::vector<Point>& out) const;
   // Reconstruction entry point: pre-claims the exact (size-determined) node
   // count through parallel::claim_build_slots, then recurses over id slices

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <queue>
 
 #include "src/parallel/parallel_for.h"
 
@@ -209,152 +208,28 @@ std::vector<typename KdTree<K>::Point> KdTree<K>::range_report(
   return out;
 }
 
-namespace {
-
-// Candidate-set visitors for the shared nn_visit traversal. Both order
-// candidates under the canonical (distance^2, coordinates-lexicographic)
-// total order: distance ties between distinct points are resolved by the
-// points themselves, not by traversal order, so the kept candidates are a
-// function of the point set alone. (The box pruning in nn_visit_rec is
-// strict — a box at exactly the bound is still explored — so every
-// distance-tied candidate reaches offer().) The sharded layer's top-k/top-1
-// merges assume exactly this order.
-template <typename Point>
-struct AnnVisitor {
-  double prune_factor;  // 1/(1+eps)^2
-  const std::vector<Point>* pts;
-  double best_sq = std::numeric_limits<double>::infinity();
-  size_t best_idx = SIZE_MAX;
-
-  double bound() const { return best_sq * prune_factor; }
-  void offer(size_t i, double d2) {
-    if (d2 < best_sq ||
-        (d2 == best_sq && best_idx != SIZE_MAX &&
-         (*pts)[i].coords < (*pts)[best_idx].coords)) {
-      best_sq = d2;
-      best_idx = i;
-    }
-  }
-};
-
-template <typename Point>
-struct KnnVisitor {
-  // Max-heap of (distance^2, index) of the current k best under the
-  // canonical order.
-  using Entry = std::pair<double, size_t>;
-  struct Canon {
-    const std::vector<Point>* pts;
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.first != b.first) return a.first < b.first;
-      return (*pts)[a.second].coords < (*pts)[b.second].coords;
-    }
-  };
-
-  KnnVisitor(size_t k_in, const std::vector<Point>& pts)
-      : k(k_in), canon{&pts}, heap(canon) {}
-
-  size_t k;
-  Canon canon;
-  std::priority_queue<Entry, std::vector<Entry>, Canon> heap;
-
-  double bound() const {
-    return heap.size() < k ? std::numeric_limits<double>::infinity()
-                           : heap.top().first;
-  }
-  void offer(size_t i, double d2) {
-    Entry e{d2, i};
-    if (heap.size() < k) {
-      heap.push(e);
-      return;
-    }
-    if (canon(e, heap.top())) {
-      heap.push(e);
-      heap.pop();
-    }
-  }
-  // Drains the heap into indices sorted ascending in the canonical order.
-  std::vector<size_t> take_sorted() {
-    std::vector<size_t> result(heap.size());
-    for (size_t i = result.size(); i-- > 0;) {
-      result[i] = heap.top().second;
-      heap.pop();
-    }
-    return result;
-  }
-};
-
-}  // namespace
+template <int K>
+void KdTree<K>::report_into(const Box& query, Point* out,
+                            const QueryOptions& opts) const {
+  ReportIntoVisitor<Point> vis{&points_, out};
+  range_visit(query, vis, opts);
+}
 
 template <int K>
 size_t KdTree<K>::ann(const Point& q, double eps,
                       const QueryOptions& opts) const {
-  AnnVisitor<Point> vis{1.0 / ((1.0 + eps) * (1.0 + eps)), &points_};
-  nn_visit(q, vis, opts);
-  return vis.best_idx;
+  const Point* p = this->nearest(q, eps, opts);
+  return p == nullptr ? SIZE_MAX : size_t(p - points_.data());
 }
 
 template <int K>
 std::vector<size_t> KdTree<K>::knn(const Point& q, size_t k,
                                    const QueryOptions& opts) const {
-  if (k == 0) return {};
-  KnnVisitor<Point> vis(k, points_);
-  nn_visit(q, vis, opts);
-  return vis.take_sorted();
-}
-
-template <int K>
-std::vector<size_t> KdTree<K>::range_count_batch(
-    const std::vector<Box>& qs, const QueryOptions& opts) const {
-  detail::BatchStatsScope bs(qs.size(), opts);
-  return parallel::batch_map<size_t>(
-      qs.size(), [&](size_t i) { return range_count(qs[i], bs.at(i)); });
-}
-
-template <int K>
-parallel::BatchResult<typename KdTree<K>::Point> KdTree<K>::range_report_batch(
-    const std::vector<Box>& qs, const QueryOptions& opts) const {
-  detail::BatchStatsScope bs(qs.size(), opts);
-  // Stats from the count pass are not double-counted: only the report pass
-  // feeds the per-query slots.
-  QueryOptions count_opts = opts;
-  count_opts.stats = nullptr;
-  return parallel::batch_two_phase<Point>(
-      qs.size(), [&](size_t i) { return range_count(qs[i], count_opts); },
-      [&](size_t i, Point* out) {
-        ReportIntoVisitor<Point> vis{&points_, out};
-        range_visit(qs[i], vis, bs.at(i));
-      });
-}
-
-template <int K>
-parallel::BatchResult<typename KdTree<K>::Point> KdTree<K>::knn_batch(
-    const std::vector<Point>& qs, size_t k, const QueryOptions& opts) const {
-  // Every query returns exactly min(k, n) neighbors, so the count pass costs
-  // nothing: the slice sizes are a function of k and n alone.
-  size_t per = std::min(k, points_.size());
-  detail::BatchStatsScope bs(qs.size(), opts);
-  return parallel::batch_two_phase<Point>(
-      qs.size(), [&](size_t) { return per; },
-      [&](size_t i, Point* out) {
-        if (per == 0) return;
-        KnnVisitor<Point> vis(k, points_);
-        nn_visit(qs[i], vis, bs.at(i));
-        auto nn = vis.take_sorted();
-        asym::count_write(nn.size());
-        for (size_t j : nn) *out++ = points_[j];
-      });
-}
-
-template <int K>
-std::vector<std::optional<typename KdTree<K>::Point>> KdTree<K>::ann_batch(
-    const std::vector<Point>& qs, double eps, const QueryOptions& opts) const {
-  detail::BatchStatsScope bs(qs.size(), opts);
-  return parallel::batch_map<std::optional<Point>>(
-      qs.size(), [&](size_t i) -> std::optional<Point> {
-        size_t idx = ann(qs[i], eps, bs.at(i));
-        if (idx == SIZE_MAX) return std::nullopt;
-        return points_[idx];
-      });
+  std::vector<size_t> ids;
+  for (const Point* p : this->k_nearest(q, k, opts)) {
+    ids.push_back(size_t(p - points_.data()));
+  }
+  return ids;
 }
 
 template <int K>
@@ -392,7 +267,7 @@ bool KdTree<K>::validate() const {
     uint32_t node;
     Box region;
   };
-  std::vector<Frame> stack{{root_, whole_space()}};
+  std::vector<Frame> stack{{root_, Box::whole()}};
   while (!stack.empty()) {
     Frame f = stack.back();
     stack.pop_back();

@@ -14,16 +14,13 @@
 // up to `leaf_size` points.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <limits>
-#include <optional>
 #include <vector>
 
 #include "src/asym/counters.h"
 #include "src/geom/box.h"
 #include "src/geom/point.h"
-#include "src/parallel/batch_query.h"
+#include "src/kdtree/queries.h"
 
 namespace weg::kdtree {
 
@@ -37,56 +34,7 @@ struct BuildStats {
   size_t max_settle_buffer = 0;
 };
 
-struct QueryStats {
-  size_t nodes_visited = 0;
-  size_t points_scanned = 0;
-  // Subtrees answered by the covered fast path (query box ⊇ node box): the
-  // whole subtree contributed without visiting its nodes.
-  size_t covered_subtrees = 0;
-};
-
-// The one options bag threaded through every query entry point (serial and
-// batch) of the k-d family; its `stats` member collects QueryStats.
-struct QueryOptions {
-  QueryStats* stats = nullptr;
-  // Kill-switch for the covered-subtree fast path (A/B benching: off
-  // reproduces the plain leaf-scan traversal and its asym charges). Results
-  // are identical either way.
-  bool count_fast_path = true;
-};
-
 namespace detail {
-
-// Deterministic stats aggregation for batch entry points: each query writes
-// a private QueryStats slot during the parallel batch, and the slots sum
-// serially afterwards — the totals are a function of the batch alone, not
-// of the work-stealing schedule. When no sink is set, at() hands out
-// stat-free options and the scope is free.
-class BatchStatsScope {
- public:
-  BatchStatsScope(size_t nq, const QueryOptions& opts) : opts_(opts) {
-    if (opts_.stats != nullptr) per_.resize(nq);
-  }
-  BatchStatsScope(const BatchStatsScope&) = delete;
-  BatchStatsScope& operator=(const BatchStatsScope&) = delete;
-  QueryOptions at(size_t i) {
-    QueryOptions o = opts_;
-    o.stats = per_.empty() ? nullptr : &per_[i];
-    return o;
-  }
-  ~BatchStatsScope() {
-    if (opts_.stats == nullptr) return;
-    for (const QueryStats& s : per_) {
-      opts_.stats->nodes_visited += s.nodes_visited;
-      opts_.stats->points_scanned += s.points_scanned;
-      opts_.stats->covered_subtrees += s.covered_subtrees;
-    }
-  }
-
- private:
-  const QueryOptions opts_;
-  std::vector<QueryStats> per_;
-};
 
 // True iff V exposes the covered-subtree hook `covered(begin, end)` — the
 // visitor-side half of the fast path. Visitors without it (liveness-filtered
@@ -108,7 +56,7 @@ inline constexpr uint32_t kNullNode = UINT32_MAX;
 size_t classic_node_count(size_t m, size_t leaf_size);
 
 template <int K>
-class KdTree {
+class KdTree : public KdQueries<KdTree<K>, K> {
  public:
   using Point = geom::PointK<K>;
   using Box = geom::BoxK<K>;
@@ -144,36 +92,19 @@ class KdTree {
                                   const QueryOptions& opts = {}) const;
 
   // (1+eps)-approximate nearest neighbor; eps = 0 gives the exact NN.
-  // Returns the index into points() of the neighbor (SIZE_MAX if empty).
+  // Returns the index into points() of the neighbor (SIZE_MAX if the tree is
+  // empty or q is not finite).
   size_t ann(const Point& q, double eps = 0.0,
              const QueryOptions& opts = {}) const;
 
-  // k nearest neighbors (exact), returned sorted by distance.
+  // k nearest neighbors (exact), as indices into points() sorted by the
+  // canonical (distance^2, coords) order: min(k, size()) of them, none for a
+  // non-finite q.
   std::vector<size_t> knn(const Point& q, size_t k,
                           const QueryOptions& opts = {}) const;
 
-  // --- batched queries (shared two-phase engine) -----------------------
-  //
-  // Unified contract shared by every k-d structure family (see
-  // docs/ARCHITECTURE.md "Count augmentation & pruning"):
-  //   range_count_batch  -> std::vector<size_t>
-  //   range_report_batch -> parallel::BatchResult<Point>
-  //   knn_batch          -> parallel::BatchResult<Point>
-  //   ann_batch          -> std::vector<std::optional<Point>>
-
-  std::vector<size_t> range_count_batch(const std::vector<Box>& qs,
-                                        const QueryOptions& opts = {}) const;
-  parallel::BatchResult<Point> range_report_batch(
-      const std::vector<Box>& qs, const QueryOptions& opts = {}) const;
-  // Flat k-NN over all queries: query i's neighbors (points sorted by the
-  // canonical (distance^2, coords) order) occupy slice i; every query
-  // yields exactly min(k, size()) results, so the count pass is free.
-  parallel::BatchResult<Point> knn_batch(const std::vector<Point>& qs,
-                                         size_t k,
-                                         const QueryOptions& opts = {}) const;
-  std::vector<std::optional<Point>> ann_batch(
-      const std::vector<Point>& qs, double eps = 0.0,
-      const QueryOptions& opts = {}) const;
+  // The batched queries (range_count_batch, range_report_batch, knn_batch,
+  // ann_batch) come from KdQueries and return points, not indices.
 
   // --- templated traversals (the visitor core) -------------------------
   //
@@ -194,9 +125,10 @@ class KdTree {
   }
 
   // Nearest-neighbor traversal with box pruning and near-side-first order.
-  // The visitor owns the candidate set:
+  // The visitor (NearestOne / NearestK, or the forest's liveness filter
+  // around one) owns the candidate set — see src/kdtree/queries.h:
   //   vis.bound()      — current squared-distance pruning radius,
-  //   vis.offer(i, d2) — consider points_[i] at squared distance d2.
+  //   vis.offer(p, d2) — consider p = points()[i] at squared distance d2.
   // Pruning is two-tier: the split-induced region box prunes before the
   // node is fetched (free), and the node's tight bounding box short-circuits
   // after one read — strictly tighter, so whole subtrees farther than the
@@ -205,7 +137,7 @@ class KdTree {
   // (d2, coords) order decides — results are traversal-independent.
   template <typename V>
   void nn_visit(const Point& q, V&& vis, const QueryOptions& opts = {}) const {
-    if (root_ != kNullNode) nn_visit_rec(root_, whole_space(), q, vis, opts);
+    if (root_ != kNullNode) nn_visit_rec(root_, Box::whole(), q, vis, opts);
   }
 
   // Index of a point equal to p (SIZE_MAX if absent). Descends the splits,
@@ -276,14 +208,12 @@ class KdTree {
                            bool charge, uint32_t id_base);
 
  private:
-  static Box whole_space() {
-    Box all;
-    for (int d = 0; d < K; ++d) {
-      all.lo[d] = -std::numeric_limits<double>::infinity();
-      all.hi[d] = std::numeric_limits<double>::infinity();
-    }
-    return all;
-  }
+  friend class KdQueries<KdTree, K>;
+
+  // The reporting range traversal behind range_report_batch: writes the
+  // points inside `query` at out, in range_visit order.
+  void report_into(const Box& query, Point* out,
+                   const QueryOptions& opts) const;
 
   template <typename V>
   void range_visit_rec(uint32_t node, const Box& query, V& vis,
@@ -335,7 +265,7 @@ class KdTree {
       for (uint32_t i = nd.begin; i < nd.end; ++i) {
         asym::count_read();
         if (opts.stats) ++opts.stats->points_scanned;
-        vis.offer(i, geom::squared_distance(points_[i], q));
+        vis.offer(points_[i], geom::squared_distance(points_[i], q));
       }
       return;
     }

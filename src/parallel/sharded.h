@@ -708,9 +708,8 @@ class Sharded {
                       const typename Vec::value_type& cur, const P& q) {
       if (!alt.has_value()) return false;
       if (!cur.has_value()) return true;
-      double da = geom::squared_distance(*alt, q);
-      double dc = geom::squared_distance(*cur, q);
-      return da < dc || (da == dc && (*alt).coords < (*cur).coords);
+      return kdtree::nearer(geom::squared_distance(*alt, q), *alt,
+                            geom::squared_distance(*cur, q), *cur);
     };
     auto rounds = route_nearest(
         qs,
@@ -1133,8 +1132,7 @@ class Sharded {
                          size_t take) {
     std::sort(cand.begin(), cand.end(),
               [](const std::pair<double, T>& a, const std::pair<double, T>& b) {
-                if (a.first != b.first) return a.first < b.first;
-                return a.second.coords < b.second.coords;
+                return kdtree::nearer(a.first, a.second, b.first, b.second);
               });
     for (size_t j = 0; j < take; ++j) out[j] = cand[j].second;
   }

@@ -70,7 +70,7 @@ namespace weg::serve {
 // Tuning knobs. docs/SERVING.md discusses the trade-offs.
 struct Config {
   size_t queue_capacity = 4096;  // per admission queue (queries, updates)
-  size_t max_batch = 256;        // size-triggered flush threshold
+  size_t max_batch = 256;        // size-triggered flush (0 acts as 1)
   uint64_t max_delay_us = 500;   // deadline flush: oldest waiter's max wait
   size_t knn_k = 8;              // k served by point engines' kNN family
   int commit_retries = 2;        // extra commit attempts before propagating
@@ -184,7 +184,7 @@ class Engine {
   template <typename... Args>
   Engine(const Config& cfg, parallel::Routing routing, size_t fanout,
          const Args&... args)
-      : cfg_(cfg),
+      : cfg_(clamped(cfg)),
         layer_(routing, fanout, args...),
         query_q_(cfg.queue_capacity),
         update_q_(cfg.queue_capacity),
@@ -357,6 +357,14 @@ class Engine {
 
  private:
   using Plan = typename Layer::EpochPlan;
+
+  // A batch holds at least one request: with max_batch = 0 the batcher
+  // would drain nothing and never serve (run_trace already flushes every
+  // admission, as if the value were 1).
+  static Config clamped(Config cfg) {
+    cfg.max_batch = std::max<size_t>(cfg.max_batch, 1);
+    return cfg;
+  }
 
   // The commit hand-shake between batcher and committer. kPreparing: the
   // committer prepares inflight_. kPrepared: the plan (or the epoch's

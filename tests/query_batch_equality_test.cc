@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -185,6 +186,16 @@ TEST(QueryBatchEquality, KdTreeRangeAndNeighborBatch) {
     EXPECT_EQ(*ba[i], tree.points()[tree.ann(nnq[i], 0.0)]);
     EXPECT_EQ(bk.result(i).front(), *ba[i]);  // 1-NN is the exact ANN
   }
+
+  // A non-finite probe has no neighbours, as in the dynamic structures: an
+  // empty slice (count pass 0), no ANN, and no serial answer.
+  const geom::Point2 nan_q{{std::numeric_limits<double>::quiet_NaN(), 0.5}};
+  auto bn = tree.knn_batch({nnq[0], nan_q}, k);
+  EXPECT_EQ(bn.count(0), k);
+  EXPECT_EQ(bn.count(1), 0u);
+  EXPECT_TRUE(tree.knn(nan_q, k).empty());
+  EXPECT_EQ(tree.ann(nan_q), SIZE_MAX);
+  EXPECT_FALSE(tree.ann_batch({nan_q})[0].has_value());
 }
 
 TEST(QueryBatchEquality, CoveredSubtreeFastPathMatchesLeafScan) {
@@ -311,6 +322,88 @@ TEST(QueryBatchEquality, DynamicKdStructuresRangeBatch) {
     EXPECT_EQ(as[i], single.ann(nnq[i]));
     EXPECT_EQ(af[i], forest.ann(nnq[i]));
   }
+
+  // kNN against brute force on the forest's multi-level, dead-point path.
+  // A small batch and singles after the bulk load give the forest several
+  // levels besides the large one. The probe at c has four points at exactly
+  // the same distance (ties the canonical order must break by coordinates),
+  // each twice (duplicates), and the three nearest points of some probes are
+  // erased, so their nearest candidates are dead.
+  std::vector<geom::Point2> live(pts.begin() + long(pts.size() / 8), pts.end());
+  auto batch = testing::random_points<2>(40, 0xB1B);
+  ASSERT_TRUE(single.bulk_insert(batch).ok());
+  ASSERT_TRUE(forest.bulk_insert(batch).ok());
+  live.insert(live.end(), batch.begin(), batch.end());
+  auto add = [&](const geom::Point2& p) {
+    single.insert(p);
+    forest.insert(p);
+    live.push_back(p);
+  };
+  const double c = 0.5, h = 1.0 / 1024;  // dyadic: the four d^2 are equal
+  for (int rep = 0; rep < 2; ++rep) {
+    for (const geom::Point2& p : {geom::Point2{{c + h, c}}, {{c - h, c}},
+                                  {{c, c + h}}, {{c, c - h}}}) {
+      add(p);
+    }
+  }
+  for (const geom::Point2& p : testing::random_points<2>(100, 0xB0B)) add(p);
+  nnq.push_back(geom::Point2{{c, c}});
+
+  // The first m live points in canonical (distance^2, coordinates) order,
+  // by brute force.
+  auto canonical = [&](const geom::Point2& q, size_t m) {
+    std::vector<std::pair<double, geom::Point2>> by;
+    for (const geom::Point2& p : live) {
+      by.emplace_back(geom::squared_distance(p, q), p);
+    }
+    m = std::min(m, by.size());
+    std::partial_sort(by.begin(), by.begin() + long(m), by.end(),
+                      [](const auto& a, const auto& b) {
+                        if (a.first != b.first) return a.first < b.first;
+                        return a.second.coords < b.second.coords;
+                      });
+    std::vector<geom::Point2> out(m);
+    for (size_t j = 0; j < m; ++j) out[j] = by[j].second;
+    return out;
+  };
+  auto erase_live = [&](const geom::Point2& p) {
+    ASSERT_TRUE(single.erase(p));
+    ASSERT_TRUE(forest.erase(p));
+    live.erase(std::find(live.begin(), live.end(), p));
+  };
+  for (size_t i = 0; i < nnq.size(); i += 8) {
+    auto near = canonical(nnq[i], 3);
+    for (size_t j = 0; j < 3; ++j) erase_live(near[j]);
+  }
+  ASSERT_GT(forest.num_trees(), 2u);
+  ASSERT_EQ(single.size(), live.size());
+  ASSERT_EQ(forest.size(), live.size());
+
+  // Whole-set answers (k > size) only for the last four probes, the tie
+  // probe among them, to keep the suite fast.
+  const size_t whole_from = nnq.size() - 4;
+  std::vector<std::vector<geom::Point2>> order;
+  for (size_t i = 0; i < nnq.size(); ++i) {
+    order.push_back(canonical(nnq[i], i < whole_from ? 8 : live.size()));
+  }
+  for (size_t k : {size_t{0}, size_t{1}, size_t{8}, live.size() + 5}) {
+    size_t first = k > live.size() ? whole_from : 0;
+    std::vector<geom::Point2> probes(nnq.begin() + long(first), nnq.end());
+    auto ks = single.knn_batch(probes, k);
+    auto kf = forest.knn_batch(probes, k);
+    for (size_t i = first; i < nnq.size(); ++i) {
+      std::vector<geom::Point2> want(
+          order[i].begin(), order[i].begin() + long(std::min(k, live.size())));
+      EXPECT_EQ(ks.result(i - first), want) << "query " << i << " k " << k;
+      EXPECT_EQ(kf.result(i - first), want) << "query " << i << " k " << k;
+      EXPECT_EQ(single.knn(nnq[i], k), want) << "query " << i << " k " << k;
+      EXPECT_EQ(forest.knn(nnq[i], k), want) << "query " << i << " k " << k;
+      if (k == 1) {
+        EXPECT_EQ(single.ann(nnq[i]), want.front()) << "query " << i;
+        EXPECT_EQ(forest.ann(nnq[i]), want.front()) << "query " << i;
+      }
+    }
+  }
 }
 
 TEST(QueryBatchEquality, BatchCountsAreScheduleIndependent) {
@@ -378,6 +471,34 @@ TEST(QueryBatchEquality, BatchCountsMatchSerialGolden) {
     // candidate, dropping reads from the pre-augmentation 7319.
     EXPECT_EQ(c.reads, 6599u);
     EXPECT_EQ(c.writes, 1281u);
+  }
+
+  // The forest's multi-level, dead-point path (a serve_knn_readmostly shard
+  // looks like this): one large level with erased points plus the small
+  // levels later inserts leave. One visitor spans every level and skips
+  // dead slots, so no level is searched twice.
+  kdtree::LogForest<2> forest;
+  ASSERT_TRUE(forest.bulk_insert(kpts).ok());
+  for (const auto& p : testing::random_points<2>(100, 0xF0E)) forest.insert(p);
+  for (size_t i = 0; i < kpts.size(); i += 8) {
+    ASSERT_TRUE(forest.erase(kpts[i]));
+  }
+  ASSERT_GT(forest.num_trees(), 2u);
+  {
+    asym::Region region;
+    auto r = forest.knn_batch(nnq, 8);
+    auto c = region.delta();
+    EXPECT_EQ(r.total(), 128u * 8u);
+    EXPECT_EQ(c.reads, 14012u);
+    EXPECT_EQ(c.writes, 1281u);
+  }
+  {
+    asym::Region region;
+    auto r = forest.ann_batch(nnq);
+    auto c = region.delta();
+    EXPECT_EQ(r.size(), 128u);
+    EXPECT_EQ(c.reads, 7258u);
+    EXPECT_EQ(c.writes, 128u);
   }
 }
 

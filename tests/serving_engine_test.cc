@@ -14,7 +14,8 @@
 //     to exactly the epoch's requests, and serves normally once disarmed,
 //   * live-mode snapshot isolation: every concurrent query's reply matches
 //     the brute-force oracle at exactly the version it reports, also across
-//     range rebalances published between query batches.
+//     range rebalances published between query batches,
+//   * live mode with max_batch = 0 serves and stops (the value acts as 1).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -581,6 +582,35 @@ TEST(ServingLive, RebalancePublishesWhileQueriesRun) {
   }
   EXPECT_GT(eng.snapshot()->rebalances(), 0u);
   EXPECT_EQ(eng.size(), live.size());
+  EXPECT_EQ(eng.stats().requests_failed, 0u);
+}
+
+// max_batch = 0 acts as 1 in live mode too: the batcher drains and serves
+// each request instead of draining nothing forever (stop() would never
+// return).
+TEST(ServingLive, ZeroMaxBatchServesAndStops) {
+  Config cfg;
+  cfg.max_batch = 0;
+  IntervalEngine eng(cfg, Routing::kHash, 2);
+  const auto base = make_intervals(64, 12, 0.0, 1.0, 0.1, 0);
+  ASSERT_TRUE(eng.bulk_load(base).ok());
+  eng.start();
+  const Interval iv{0.45, 0.55, 7777};
+  auto ins = eng.submit_insert(iv);
+  auto q = eng.submit_query(0.5);
+  ASSERT_EQ(ins.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+  ASSERT_EQ(q.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+  auto u = ins.get();
+  ASSERT_TRUE(u.ok()) << u.status().to_string();
+  EXPECT_EQ(u.value(), 2u);
+  auto r = q.get();
+  ASSERT_TRUE(r.ok()) << r.status().to_string();
+  std::vector<Interval> live = base;
+  if (r.value().version == 2) live.push_back(iv);
+  std::vector<uint32_t> got = r.value().items;
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, brute_stab(live, 0.5));
+  eng.stop();
   EXPECT_EQ(eng.stats().requests_failed, 0u);
 }
 
