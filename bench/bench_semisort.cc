@@ -130,8 +130,8 @@ std::vector<uint64_t> workload(Dist d, size_t n, uint64_t seed) {
       std::fill(v.begin(), v.end(), 0xFEEDULL);
       break;
     case Dist::kPlannerKeys:
-      // The shard-pruning planner semisorts queries by target-shard bitmask:
-      // a tiny key universe where every key is heavy.
+      // Target-shard bitmasks, as the shard-pruning planner once grouped
+      // them: a tiny key universe where every key is heavy.
       for (auto& x : v) x = rng.next_bounded(64);
       break;
   }

@@ -25,12 +25,13 @@
 // against the shard slab; kNN/ANN best-first, seeding the nearest shard by
 // cover-box distance and then visiting every other shard whose distance
 // does not exceed the seed's k-th (resp. best) candidate distance. The
-// batch is semisorted by target-shard set (primitives::semisort), one
-// targeted sub-batch runs per shard, all shards in parallel, and the
-// per-shard BatchResult slices merge into one flat result by pure offset
-// arithmetic: merged count(q) = sum over visited shards of count_s(q), an
-// exclusive scan turns the counts into slice offsets, and each merged slice
-// is filled by concatenating the shard slices. Each merged slice is then
+// plan is built straight from the target-shard masks in query order (no
+// sort, writes linear in the batch), one targeted sub-batch runs per
+// shard, all shards in parallel, and the per-shard BatchResult slices
+// merge into one flat result by pure offset arithmetic: merged count(q) =
+// sum over visited shards of count_s(q), an exclusive scan turns the
+// counts into slice offsets, and each merged slice is filled by
+// concatenating the shard slices. Each merged slice is then
 // put into a canonical order — ascending ids for stabbing, lexicographic
 // coordinates for range reports, (distance, coordinates) for kNN/ANN — so
 // the merged result is a function of the *record set* alone: every routing
@@ -41,9 +42,10 @@
 // identical at every worker count (not across policies or fanouts: those
 // change which shards a query visits). kNN/ANN merge via a top-k (top-1)
 // reduce over the per-shard candidate slices instead of plain
-// concatenation. Hash-routed coverage boxes overlap, so hash batches
-// usually visit every live shard; range-routed boxes are disjoint along
-// the partition axis, so selective queries visit few.
+// concatenation; a kNN batch whose every query was answered by one shard
+// hands that shard's result on as is. Hash-routed coverage boxes overlap,
+// so hash batches usually visit every live shard; range-routed boxes are
+// disjoint along the partition axis, so selective queries visit few.
 //
 // Epoch API: a serving loop alternates write batches and query batches
 // without external locking by staging updates on the Sharded layer —
@@ -99,7 +101,6 @@
 #include "src/parallel/batch_query.h"
 #include "src/parallel/fault.h"
 #include "src/parallel/parallel_for.h"
-#include "src/primitives/semisort.h"
 #include "src/primitives/sequence.h"
 
 namespace weg::parallel {
@@ -646,6 +647,17 @@ class Sharded {
                      : std::numeric_limits<double>::infinity();
         });
     if (!rounds.status.ok()) return BatchResult<T>(std::move(rounds.status));
+    // Single-shard hand-on: when every query was seeded at one shard and
+    // round 2 visits nothing, that shard's sub-batch is the whole batch in
+    // query order, and its slices already are the merged answer in
+    // canonical order — no offsets, no scan, no copy.
+    if (nq > 0 && rounds.plan[1].visits == 0) {
+      for (size_t s = 0; s < shards_.size(); ++s) {
+        if (rounds.plan[0].shard_queries(s).size() == nq) {
+          return BatchResult<T>(std::move(rounds.per[0][s]));
+        }
+      }
+    }
 
     std::vector<size_t> offsets(nq + 1, 0);
     for (size_t q = 0; q < nq; ++q) {
@@ -881,66 +893,45 @@ class Sharded {
 
   // Plans one batch from each query's target-shard mask and records the
   // routing telemetry (a follow-up round's queries were already counted).
-  // The batch is semisorted by mask, so queries sharing a shard set are
-  // contiguous; one counting pass over the groups sizes the flat arrays and
-  // one fill pass emits each group into its shards' sub-batches in one run.
+  // The CSR arrays come straight from the masks: one counting pass sizes
+  // shard_off and entry_off, one scan places them, and one fill pass in
+  // query order emits every (query, shard) slot, so each shard's sub-batch
+  // lists its queries in ascending order.
   template <typename MaskFn>
   Plan plan_batch(size_t nq, MaskFn&& mask_of, bool follow_up = false) const {
     size_t S = shards_.size();
-    struct QM {
-      uint32_t q;
-      uint64_t mask;
-    };
-    std::vector<QM> qm(nq);
-    for (size_t i = 0; i < nq; ++i) {
-      qm[i].q = static_cast<uint32_t>(i);
-      qm[i].mask = mask_of(i);
-    }
+    std::vector<uint64_t> mask(nq);
+    for (size_t q = 0; q < nq; ++q) mask[q] = mask_of(q);
     // Planner bookkeeping is bulk-charged: every query tests every shard's
     // bounds (nq * S reads, nq mask writes), and each (query, shard)
     // routing slot is written once (visits reads + writes below) — all
-    // functions of the batch and the bounds alone, identical at every
-    // worker count.
+    // functions of the batch and the bounds alone, linear in the batch and
+    // identical at every worker count.
     asym::count_read(nq * S);
     asym::count_write(nq);
-    // Shard-set masks are a tiny key universe (often one mask for a whole
-    // batch): small batches take the classic hash-bucket path, large ones
-    // the sampling plan, where every popular mask is a heavy key grouped
-    // without any local sort.
-    auto groups =
-        primitives::semisort_by(qm, [](const QM& x) { return x.mask; });
     Plan plan;
     plan.shard_off.assign(S + 1, 0);
     plan.entry_off.assign(nq + 1, 0);
-    for (size_t g = 0; g + 1 < groups.size(); ++g) {
-      uint64_t mask = qm[groups[g]].mask;
-      auto width = static_cast<size_t>(std::popcount(mask));
-      size_t len = groups[g + 1] - groups[g];
-      for (uint64_t m = mask; m != 0; m &= m - 1) {
-        plan.shard_off[std::countr_zero(m)] += len;
+    for (size_t q = 0; q < nq; ++q) {
+      for (uint64_t m = mask[q]; m != 0; m &= m - 1) {
+        ++plan.shard_off[std::countr_zero(m)];
       }
-      for (size_t i = groups[g]; i < groups[g + 1]; ++i) {
-        plan.entry_off[qm[i].q] = width;
-      }
-      plan.visits += width * len;
+      plan.entry_off[q] = static_cast<size_t>(std::popcount(mask[q]));
     }
     std::exclusive_scan(plan.shard_off.begin(), plan.shard_off.end(),
                         plan.shard_off.begin(), size_t{0});
     std::exclusive_scan(plan.entry_off.begin(), plan.entry_off.end(),
                         plan.entry_off.begin(), size_t{0});
+    plan.visits = plan.entry_off[nq];
     plan.shard_q.resize(plan.visits);
     plan.entry.resize(plan.visits);
     std::vector<size_t> fill(plan.shard_off.begin(), plan.shard_off.end() - 1);
-    for (size_t g = 0; g + 1 < groups.size(); ++g) {
-      uint64_t mask = qm[groups[g]].mask;
-      uint32_t rank = 0;  // position of shard s among the mask's shards
-      for (uint64_t m = mask; m != 0; m &= m - 1, ++rank) {
+    for (size_t q = 0; q < nq; ++q) {
+      auto* slot = plan.entry.data() + plan.entry_off[q];
+      for (uint64_t m = mask[q]; m != 0; m &= m - 1) {
         auto s = static_cast<uint32_t>(std::countr_zero(m));
-        for (size_t i = groups[g]; i < groups[g + 1]; ++i) {
-          plan.entry[plan.entry_off[qm[i].q] + rank] = {
-              s, static_cast<uint32_t>(fill[s] - plan.shard_off[s])};
-          plan.shard_q[fill[s]++] = qm[i].q;
-        }
+        *slot++ = {s, static_cast<uint32_t>(fill[s] - plan.shard_off[s])};
+        plan.shard_q[fill[s]++] = static_cast<uint32_t>(q);
       }
     }
     asym::count_read(plan.visits);

@@ -20,7 +20,7 @@
 //  * small inputs keep the classic hash-bucket path below, where the plan
 //    overhead would dominate.
 // Both paths share one contract, load-bearing for every consumer (pbatched
-// k-d builds, incremental-sort rounds, the shard-pruning planner): the same
+// k-d builds, incremental-sort rounds): the same
 // (records permuted, group start offsets) API, output and bulk asym
 // read/write totals bitwise identical at every worker count.
 #pragma once
@@ -160,10 +160,8 @@ std::vector<size_t> semisort_classic(std::vector<T>& records, KeyFn key,
 // semisort per [34]. `hash` must map equal keys to equal 64-bit
 // fingerprints (the default is the usual invertible mix); `stats`, when
 // non-null, receives the plan shape. Returns (records permuted so equal
-// keys are adjacent, group start offsets). Clients include the pbatched
-// k-d incremental rounds, the incremental-sort bucket rounds, and the
-// sharded layer's query planner (key = the query's target-shard bitmask,
-// so queries sharing a shard set form one group).
+// keys are adjacent, group start offsets). Clients are the pbatched k-d
+// incremental rounds and the incremental-sort bucket rounds.
 template <typename T, typename KeyFn, typename HashFn>
 std::vector<size_t> semisort_by_hashed(std::vector<T>& records, KeyFn key,
                                        HashFn hash,

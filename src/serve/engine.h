@@ -5,12 +5,20 @@
 //
 //   producers --try_push--> [bounded MPSC queues]      (admission control)
 //                               |
-//                           batcher thread             (size/deadline flush)
+//                           batcher thread             (flush when free)
 //              query batches    |  publish    |  epoch hand-off
 //                     |         |             v
 //                     v         v         committer thread: prepare_epoch
 //                   one Sharded layer <-----  (+ retries), prepare_rebalance,
 //                                     reads   drop spent plans
+//
+// Work-conserving batching (the default, Config::max_delay_us = 0): the
+// batcher flushes a forming batch as soon as it is free, so a batch holds
+// exactly the requests that arrived while the previous batch ran, capped by
+// max_batch; an epoch is handed off as soon as the committer is idle, and
+// updates accumulate only while an epoch is in flight. A positive
+// max_delay_us is an opt-in hold that waits for the oldest request to age
+// that long, trading latency for larger batches.
 //
 // One replica, prepared epochs: the engine serves from a single Sharded.
 // The committer prepares epoch N+1 against it with Sharded::prepare_epoch,
@@ -38,9 +46,11 @@
 // decisions, batch boundaries, versions, and query results are a pure
 // function of (trace, config), bitwise-identical at every WEG_NUM_THREADS.
 // It runs the same query-batch executor and the same screen, prepare and
-// publish steps inline; live mode (start()/submit_*) differs only in the
-// clock — wall-clock deadlines then affect batching boundaries, never
-// results — and in where completions go.
+// publish steps inline, in zero logical time, so under the default policy
+// every request flushes at its own admission time. Live mode
+// (start()/submit_*) differs only in the clock — wall-clock arrivals and
+// deadlines then affect batching boundaries, never results — and in where
+// completions go.
 #pragma once
 
 #include <algorithm>
@@ -71,7 +81,10 @@ namespace weg::serve {
 struct Config {
   size_t queue_capacity = 4096;  // per admission queue (queries, updates)
   size_t max_batch = 256;        // size-triggered flush (0 acts as 1)
-  uint64_t max_delay_us = 500;   // deadline flush: oldest waiter's max wait
+  // How long the oldest waiter may be held for a larger batch. 0 (the
+  // default) is work-conserving: flush as soon as the batcher is free; every
+  // flush below max_batch then counts as a deadline flush.
+  uint64_t max_delay_us = 0;
   size_t knn_k = 8;              // k served by point engines' kNN family
   int commit_retries = 2;        // extra commit attempts before propagating
 };
@@ -734,6 +747,11 @@ class Engine {
     }
   }
 
+  // Sleeps until a poke or the next due deadline. With max_delay_us = 0 this
+  // never spins: batcher_loop flushes every non-empty forming batch before
+  // it waits, so pq is empty here, and pu only waits while the committer is
+  // busy — its deadline is then ignored, and the committer's poke is the
+  // wake signal.
   void wait_for_work(const std::vector<PendingQuery>& pq,
                      const std::vector<PendingUpdate>& pu, bool stopping) {
     bool commit_ready = phase() == CommitPhase::kIdle;

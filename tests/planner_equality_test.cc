@@ -463,7 +463,7 @@ TEST(PlannerEquality, RoutedEpochInterleavingMatchesSerialReplay) {
 
 TEST(PlannerEquality, PlannedCountsScheduleIndependent) {
   // Repeat-run determinism of the planned path at whatever worker count this
-  // process has: semisort grouping, targeted sub-batches, and the
+  // process has: mask planning, targeted sub-batches, and the
   // entries-driven merge charge the same bulk totals regardless of
   // work-stealing interleavings.
   auto ivs = fixed_intervals(20000, 0x60D);
@@ -485,10 +485,40 @@ TEST(PlannerEquality, PlannedCountsScheduleIndependent) {
   EXPECT_EQ(c1.writes, c2.writes);
 }
 
+TEST(PlannerEquality, PlannedKnnWritesIndependentOfBatchSize) {
+  // The planner's writes are linear in the batch, with no fixed cost per
+  // plan: a query served alone charges no more writes than one in a batch
+  // of 256 (the single-shard hand-on even saves the merge). A per-plan
+  // grouping cost would make every one-query batch pay it twice (seed and
+  // follow-up round), the pattern a work-conserving engine serves most.
+  auto pts = testing::random_points<2>(size_t{1} << 16, 0xBA7C);
+  Sharded<LogForest<2>> sf(Routing::kRange, 4);
+  ASSERT_TRUE(sf.bulk_insert(pts).ok());
+  auto qs = testing::random_points<2>(256, 0x51E);
+  constexpr size_t k = 8;
+  asym::Region region;
+  auto r = sf.knn_batch(qs, k);
+  uint64_t batched = region.delta().writes;
+  ASSERT_TRUE(r.ok());
+  uint64_t alone = 0;
+  for (size_t i = 0; i < qs.size(); ++i) {
+    asym::Region one;
+    auto r1 = sf.knn_batch(std::vector<geom::Point2>{qs[i]}, k);
+    alone += one.delta().writes;
+    ASSERT_TRUE(r1.ok());
+    EXPECT_EQ(r1.result(0), r.result(i)) << i;
+  }
+  double per_q_alone = double(alone) / double(qs.size());
+  double per_q_batched = double(batched) / double(qs.size());
+  EXPECT_LE(per_q_alone, per_q_batched)
+      << "writes/query alone " << per_q_alone << ", in a batch of "
+      << qs.size() << " " << per_q_batched;
+}
+
 TEST(PlannerEquality, PlannedBatchGoldenCounts) {
   // Golden read/write counts for the planned paths, captured from the
   // serial (WEG_NUM_THREADS=1) run. The p=2/8 reruns must charge exactly
-  // the same totals: the planner's predicate sweep, semisort, and routing
+  // the same totals: the planner's predicate sweep, mask writes, and routing
   // slots are bulk-charged functions of the batch and the bounds alone. If
   // an algorithm's counting legitimately changes, recapture at p=1.
   auto ivs = fixed_intervals(20000, 0x60D);
@@ -500,14 +530,13 @@ TEST(PlannerEquality, PlannedBatchGoldenCounts) {
     auto r = si.stab_batch(sq);
     auto c = region.delta();
     EXPECT_GT(r.total(), 0u);
-    // Hash routing charges 462587/295577 on this workload (see the sharded
+    // Hash routing charges 461987/295247 on this workload (see the sharded
     // suite's golden test): pruning shows up in the asym totals as well.
-    // Recaptured for the sampling semisort: a 200-query batch rides the
-    // classic small-n path, whose grouping sweep is now read-charged
-    // separately from boundary emission (+nq = +200 reads; no bucket held
-    // mixed masks, so no new sort writes).
-    EXPECT_EQ(c.reads, 411078u);
-    EXPECT_EQ(c.writes, 293858u);
+    // Recaptured when the planner stopped semisorting the shard masks and
+    // built its CSR plan straight from them (was 411078/293858): the
+    // semisort's bucket array, sweeps and group boundaries are gone.
+    EXPECT_EQ(c.reads, 410478u);
+    EXPECT_EQ(c.writes, 293522u);
   }
 
   auto pts = testing::random_points<2>(20000, 0x60D);
@@ -525,9 +554,11 @@ TEST(PlannerEquality, PlannedBatchGoldenCounts) {
     // Recaptured for the count-augmented traversal: covered-subtree slice
     // reporting plus the full-dimension cover-box knn pruning inside each
     // shard drop reads from the pre-augmentation 113911 (writes unchanged —
-    // the same result slices are written once).
-    EXPECT_EQ(c.reads, 95685u);
-    EXPECT_EQ(c.writes, 53007u);
+    // the same result slices are written once). Recaptured when the planner
+    // stopped semisorting the shard masks (was 95685/53007): three plans,
+    // none pays a semisort any more.
+    EXPECT_EQ(c.reads, 95013u);
+    EXPECT_EQ(c.writes, 52585u);
   }
 }
 

@@ -7,14 +7,16 @@
 // under TSan). The suite pins:
 //   * fixed-trace determinism against a brute-force per-version oracle,
 //   * deterministic admission rejection when the queue capacity is hit,
-//   * size- and deadline-triggered flushes on the injected clock,
+//   * size- and deadline-triggered flushes on the injected clock, and the
+//     default work-conserving policy flushing each request at admission,
 //   * per-request Status isolation (malformed records, duplicate ids, and
 //     query_poison faults fail their own request, batch-mates succeed),
 //   * ScopedFault(shard_apply): the engine retries, propagates the failure
 //     to exactly the epoch's requests, and serves normally once disarmed,
 //   * live-mode snapshot isolation: every concurrent query's reply matches
 //     the brute-force oracle at exactly the version it reports, also across
-//     range rebalances published between query batches,
+//     range rebalances published between query batches, and under the
+//     default Config with concurrent query and update producers,
 //   * live mode with max_batch = 0 serves and stops (the value acts as 1).
 #include <gtest/gtest.h>
 
@@ -71,6 +73,25 @@ std::vector<uint32_t> brute_stab(const std::vector<Interval>& live, double q) {
   }
   std::sort(ids.begin(), ids.end());
   return ids;
+}
+
+// The k nearest live points to q in the canonical (distance, coordinates)
+// order.
+std::vector<geom::Point2> brute_knn(const std::vector<geom::Point2>& live,
+                                    const geom::Point2& q, size_t k) {
+  std::vector<std::pair<double, geom::Point2>> by_dist;
+  for (const geom::Point2& p : live) {
+    by_dist.emplace_back(geom::squared_distance(p, q), p);
+  }
+  k = std::min(k, by_dist.size());
+  std::partial_sort(by_dist.begin(), by_dist.begin() + k, by_dist.end(),
+                    [](const auto& a, const auto& b) {
+                      if (a.first != b.first) return a.first < b.first;
+                      return a.second.coords < b.second.coords;
+                    });
+  std::vector<geom::Point2> want;
+  for (size_t j = 0; j < k; ++j) want.push_back(by_dist[j].second);
+  return want;
 }
 
 Event q_at(uint64_t t, double q) {
@@ -262,6 +283,34 @@ TEST(ServingTrace, SizeAndDeadlineTriggersOnInjectedClock) {
   EXPECT_EQ(st.batch_size_hist[3], 1u);
   EXPECT_EQ(st.batch_size_hist[2], 1u);
   EXPECT_EQ(st.batch_size_hist[1], 1u);
+}
+
+// The shipped default is work-conserving. A replay's batches take no
+// logical time, so the batcher is free at every admission: each request
+// flushes at its own admission time, and every flush below max_batch counts
+// as a deadline flush (the last one drains at the end of the trace).
+TEST(ServingTrace, DefaultConfigFlushesAtAdmission) {
+  const Config cfg;
+  const auto base = make_intervals(256, 1, 0.0, 1.0, 0.05, 0);
+  const auto trace = mixed_trace(base, 7);
+  IntervalEngine eng(cfg, Routing::kRange, 4);
+  ASSERT_TRUE(eng.bulk_load(base).ok());
+  auto out = eng.run_trace(trace);
+
+  ASSERT_EQ(out.size(), trace.size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    ASSERT_TRUE(out[i].status.ok()) << i << ": " << out[i].status.to_string();
+    EXPECT_EQ(out[i].admitted_at_us, trace[i].at_us) << i;
+    EXPECT_EQ(out[i].completed_at_us, out[i].admitted_at_us) << i;
+  }
+  auto st = eng.stats();
+  EXPECT_EQ(st.size_flushes, 0u);
+  EXPECT_EQ(st.drain_flushes, 1u);
+  EXPECT_EQ(st.deadline_flushes + st.drain_flushes,
+            st.query_batches + st.epochs_committed);
+  EXPECT_EQ(st.batch_size_hist[1], trace.size());  // one request per flush
+  EXPECT_GT(st.epochs_committed, 2u);
+  check_against_oracle(trace, out, base);
 }
 
 TEST(ServingTrace, MalformedUpdatesFailAloneBatchMatesCommit) {
@@ -567,22 +616,101 @@ TEST(ServingLive, RebalancePublishesWhileQueriesRun) {
     ASSERT_TRUE(r.ok()) << r.status().to_string();
     auto it = live_at.find(r.value().version);
     ASSERT_NE(it, live_at.end()) << "unknown version " << r.value().version;
-    std::vector<std::pair<double, Point2>> by_dist;
-    for (const Point2& p : it->second) {
-      by_dist.emplace_back(geom::squared_distance(p, q), p);
-    }
-    std::sort(by_dist.begin(), by_dist.end(),
-              [](const auto& a, const auto& b) {
-                if (a.first != b.first) return a.first < b.first;
-                return a.second.coords < b.second.coords;
-              });
-    std::vector<Point2> want;
-    for (size_t j = 0; j < cfg.knn_k; ++j) want.push_back(by_dist[j].second);
-    EXPECT_EQ(r.value().items, want) << "version " << r.value().version;
+    EXPECT_EQ(r.value().items, brute_knn(it->second, q, cfg.knn_k))
+        << "version " << r.value().version;
   }
   EXPECT_GT(eng.snapshot()->rebalances(), 0u);
   EXPECT_EQ(eng.size(), live.size());
   EXPECT_EQ(eng.stats().requests_failed, 0u);
+}
+
+// The shipped default in live mode: a range-routed forest engine on a
+// default Config, fed by a query producer and an update producer at once.
+// Batches form only from what arrives while the batcher is busy, and epochs
+// from what arrives while the committer is; every kNN reply must equal the
+// brute-force answer over exactly the version it reports.
+TEST(ServingLive, DefaultConfigServesCorrectly) {
+  using PointEngine = serve::Engine<LogForest<2>>;
+  using geom::Point2;
+  const Config cfg;
+  PointEngine eng(cfg, Routing::kRange, 4);
+  primitives::Rng rng(41);
+  std::vector<Point2> base(1024);
+  for (auto& p : base) p = {rng.next_double(), rng.next_double()};
+  ASSERT_TRUE(eng.bulk_load(base).ok());
+  eng.start();
+
+  // Even updates insert a fresh point, odd ones erase a distinct base point.
+  std::vector<std::pair<RequestKind, Point2>> sent;
+  std::vector<std::future<Expected<uint64_t>>> acks;
+  std::thread updater([&] {
+    primitives::Rng urng(42);
+    for (size_t i = 0; i < 400; ++i) {
+      if (i % 2 == 0) {
+        Point2 p{urng.next_double(), urng.next_double()};
+        sent.emplace_back(RequestKind::kInsert, p);
+        acks.push_back(eng.submit_insert(p));
+      } else {
+        sent.emplace_back(RequestKind::kErase, base[i / 2]);
+        acks.push_back(eng.submit_erase(base[i / 2]));
+      }
+      if (i % 8 == 7) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    }
+  });
+  std::vector<std::pair<Point2, std::future<Expected<PointEngine::QueryReply>>>>
+      queries;
+  std::thread querier([&] {
+    primitives::Rng qrng(43);
+    for (int i = 0; i < 1500; ++i) {
+      Point2 q{qrng.next_double(), qrng.next_double()};
+      queries.emplace_back(q, eng.submit_query(q));
+      if (i % 16 == 15) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+    }
+  });
+  updater.join();
+  querier.join();
+  eng.stop();
+
+  // Each epoch applies its inserts, then its erases.
+  std::map<uint64_t, std::vector<size_t>> by_version;
+  for (size_t i = 0; i < acks.size(); ++i) {
+    auto r = acks[i].get();
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    by_version[r.value()].push_back(i);
+  }
+  std::map<uint64_t, std::vector<Point2>> live_at;
+  std::vector<Point2> live = base;
+  live_at[1] = live;
+  for (const auto& [ver, idx] : by_version) {
+    for (size_t i : idx) {
+      if (sent[i].first == RequestKind::kInsert) live.push_back(sent[i].second);
+    }
+    for (size_t i : idx) {
+      if (sent[i].first != RequestKind::kErase) continue;
+      auto at = std::find(live.begin(), live.end(), sent[i].second);
+      ASSERT_NE(at, live.end());
+      live.erase(at);
+    }
+    live_at[ver] = live;
+  }
+  for (auto& [q, fut] : queries) {
+    auto r = fut.get();
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    auto it = live_at.find(r.value().version);
+    ASSERT_NE(it, live_at.end()) << "unknown version " << r.value().version;
+    EXPECT_EQ(r.value().items, brute_knn(it->second, q, cfg.knn_k))
+        << "version " << r.value().version;
+  }
+  auto st = eng.stats();
+  EXPECT_EQ(st.requests_failed, 0u);
+  EXPECT_EQ(st.epochs_committed, by_version.size());
+  EXPECT_EQ(eng.version(), 1 + st.epochs_committed);
+  EXPECT_EQ(eng.size(), live.size());
+  EXPECT_GT(st.deadline_flushes, 0u);
 }
 
 // max_batch = 0 acts as 1 in live mode too: the batcher drains and serves

@@ -564,10 +564,12 @@ TEST(ShardedEquality, BulkOpsAndShardedBatchGoldenCounts) {
     auto c = region.delta();
     EXPECT_GT(r.total(), 0u);
     // Recaptured when hash batches moved onto the planner: they now pay its
-    // bulk charges (mask sweep, semisort, routing slots) instead of the
-    // broadcast's flat nq * S fan-out (was 460387/294247).
-    EXPECT_EQ(c.reads, 462587u);
-    EXPECT_EQ(c.writes, 295577u);
+    // bulk charges (mask sweep, routing slots) instead of the broadcast's
+    // flat nq * S fan-out (was 460387/294247). Recaptured when the planner
+    // stopped semisorting the shard masks and built its CSR plan straight
+    // from them (was 462587/295577).
+    EXPECT_EQ(c.reads, 461987u);
+    EXPECT_EQ(c.writes, 295247u);
   }
 
   Sharded<LogForest<2>> sf(4);
@@ -586,9 +588,10 @@ TEST(ShardedEquality, BulkOpsAndShardedBatchGoldenCounts) {
     // reads from the pre-augmentation 145297 (writes unchanged — the same
     // result slices are written once). Recaptured again when hash batches
     // moved onto the planner (was 129326/54528): the planner's bulk charges
-    // and kNN's seed round plus threshold pass.
-    EXPECT_EQ(c.reads, 131598u);
-    EXPECT_EQ(c.writes, 55814u);
+    // and kNN's seed round plus threshold pass. Recaptured when the planner
+    // stopped semisorting the shard masks (was 131598/55814).
+    EXPECT_EQ(c.reads, 130926u);
+    EXPECT_EQ(c.writes, 55456u);
   }
 }
 
