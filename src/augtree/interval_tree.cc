@@ -69,23 +69,35 @@ StaticIntervalTree StaticIntervalTree::build_postsorted(
   asym::count_read(ne);
   auto order = sort::incremental_sort_we_order(keys);
 
-  // 2) Ranks and sorted key array (O(n) reads/writes). `order` is a
-  // permutation, so every iteration writes distinct slots.
-  std::vector<uint32_t> rank(ne);
-  t.keys_.assign(t.m_, kInf);
+  // 2) Ranks and sorted key array (O(n) reads/writes), +inf padding
+  // included. `order` is a permutation, so every iteration writes distinct
+  // slots.
+  primitives::UninitVector<uint32_t> rank(ne);
+  t.keys_.resize(t.m_);
   asym::count_read(ne);
   asym::count_write(2 * ne);
-  parallel::parallel_for(0, ne, [&](size_t i) {
+  parallel::parallel_for(0, t.m_, [&](size_t i) {
+    if (i >= ne) {
+      t.keys_[i] = kInf;
+      return;
+    }
     rank[order[i]] = static_cast<uint32_t>(i);
     t.keys_[i] = (order[i] & 1) ? ivs[order[i] / 2].r : ivs[order[i] / 2].l;
   });
 
   // 3) Assign each interval to its node with the O(1) implicit-tree LCA and
   //    sort by (level, endpoint rank) per Section 7.2. Intervals in
-  //    endpoint-rank order are simply the left (resp. right) endpoints
-  //    filtered out of `order`, so one *stable* counting sort by level
-  //    (O(log n) buckets) replaces the general radix sort — the same
-  //    O(n log n)-key-range bound, with one pass.
+  //    endpoint-rank order are this side's endpoints packed out of `order`
+  //    (endpoint i has rank i and value keys_[i]; only its partner's rank is
+  //    looked up), so one *stable* counting sort by level (O(log n) buckets)
+  //    replaces the general radix sort — the same O(n log n)-key-range
+  //    bound, with one pass.
+  //
+  //    Within one level the nodes own disjoint in-order ranges, and an
+  //    interval's node range holds both its endpoints, so a level's records
+  //    in endpoint-rank order are monotone in pos: every node's records form
+  //    one contiguous run of the sorted array. A node's count is its run's
+  //    length, and its CSR slice is that run, copied in order.
   struct Rec {
     uint32_t pos;    // node (in-order, 1-based)
     uint32_t depth;  // level from the root (counting-sort key)
@@ -93,37 +105,83 @@ StaticIntervalTree StaticIntervalTree::build_postsorted(
     double coord;
   };
   int h = t.height_;
-  auto build_csr = [&](bool left_side, std::vector<uint32_t>& offsets,
+  auto build_csr = [&](bool left_side,
+                       primitives::UninitVector<uint32_t>& offsets,
                        std::vector<std::pair<double, uint32_t>>& out) {
-    // Intervals in endpoint-rank order.
-    std::vector<Rec> rs;
-    rs.reserve(t.n_);
-    asym::count_read(ne);
-    asym::count_write(t.n_);
-    for (size_t i = 0; i < ne; ++i) {
-      bool is_left = (order[i] & 1) == 0;
-      if (is_left != left_side) continue;
-      uint32_t iv = order[i] / 2;
-      size_t pos = lca(rank[2 * iv] + 1, rank[2 * iv + 1] + 1);
-      uint32_t depth = static_cast<uint32_t>((h - 1) - level_of(pos));
-      rs.push_back(Rec{static_cast<uint32_t>(pos), depth, iv,
-                       left_side ? ivs[iv].l : ivs[iv].r});
-    }
-    if (!left_side) std::reverse(rs.begin(), rs.end());  // descending r
-    // Stable counting sort by level keeps the endpoint-rank order within
-    // each level, making every node's intervals contiguous (Section 7.2).
+    // Left endpoints by ascending rank, right endpoints by descending rank.
+    auto at = [&](size_t j) { return left_side ? j : ne - 1 - j; };
+    std::vector<Rec> rs = primitives::pack_index(
+        ne, [&](size_t j) { return ((order[at(j)] & 1) == 0) == left_side; },
+        [&](size_t j) {
+          size_t i = at(j);
+          size_t pos = lca(i + 1, rank[order[i] ^ 1] + 1);
+          return Rec{static_cast<uint32_t>(pos),
+                     static_cast<uint32_t>((h - 1) - level_of(pos)),
+                     order[i] / 2, t.keys_[i]};
+        });
     primitives::counting_sort(rs, static_cast<size_t>(h),
                               [](const Rec& r) { return r.depth; });
-    // Scatter into in-order-position-major CSR. Convention: node pos's run
-    // is [offsets[pos-1], offsets[pos]).
-    offsets.assign(t.m_ + 1, 0);
-    for (const Rec& r : rs) ++offsets[r.pos];
-    for (size_t p = 1; p <= t.m_; ++p) offsets[p] += offsets[p - 1];
-    out.resize(rs.size());
-    std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-    asym::count_read(rs.size());
-    asym::count_write(rs.size());
-    for (const Rec& r : rs) out[cursor[r.pos - 1]++] = {r.coord, r.id};
+
+    // Fixed blocks of rs; run_start[b] is the start of the run holding
+    // block b's first record, so a block is walked with every record's run
+    // start in hand.
+    constexpr size_t kNone = SIZE_MAX;
+    size_t nr = rs.size(), nb = primitives::num_blocks(nr);
+    auto starts_run = [&](size_t k) {
+      return k == 0 || rs[k].pos != rs[k - 1].pos;
+    };
+    std::vector<size_t> run_start(nb, kNone);
+    parallel::parallel_for(
+        0, nb,
+        [&](size_t b) {
+          size_t lo = b * primitives::kBlockSize;
+          for (size_t k = std::min(nr, lo + primitives::kBlockSize); k > lo;) {
+            if (starts_run(--k)) {
+              run_start[b] = k;  // the block's last start
+              break;
+            }
+          }
+        },
+        1);
+    for (size_t b = 0, carry = 0; b < nb; ++b) {
+      size_t last = run_start[b];
+      run_start[b] = carry;
+      if (last != kNone) carry = last;
+    }
+    auto for_each_record = [&](auto&& visit) {
+      parallel::parallel_for(
+          0, nb,
+          [&](size_t b) {
+            size_t lo = b * primitives::kBlockSize;
+            size_t hi = std::min(nr, lo + primitives::kBlockSize);
+            for (size_t k = lo, start = run_start[b]; k < hi; ++k) {
+              if (starts_run(k)) start = k;
+              visit(k, start);
+            }
+          },
+          1);
+    };
+
+    // Offsets: each run's last record stores the run's length at its node,
+    // and an exclusive scan over all m_ + 1 entries turns the counts into
+    // offsets. Convention: node pos's run is [offsets[pos-1], offsets[pos]).
+    offsets.resize(t.m_ + 1);
+    parallel::parallel_for(0, t.m_ + 1, [&](size_t p) { offsets[p] = 0; });
+    for_each_record([&](size_t k, size_t start) {
+      if (k + 1 == nr || starts_run(k + 1)) {
+        offsets[rs[k].pos - 1] = static_cast<uint32_t>(k + 1 - start);
+      }
+    });
+    primitives::detail::scan_exclusive_raw(offsets.data(), offsets.size());
+
+    // Scatter each run to its node's slice, in run order.
+    out.resize(nr);
+    asym::count_read(nr);
+    asym::count_write(nr);
+    for_each_record([&](size_t k, size_t start) {
+      const Rec& r = rs[k];
+      out[offsets[r.pos - 1] + (k - start)] = {r.coord, r.id};
+    });
   };
 
   // The two CSRs are independent (disjoint outputs, shared read-only

@@ -35,6 +35,7 @@
 #include "src/core/copy_delta.h"
 #include "src/core/status.h"
 #include "src/parallel/batch_query.h"
+#include "src/primitives/sequence.h"
 
 namespace weg::augtree {
 
@@ -87,9 +88,9 @@ class StaticIntervalTree {
   size_t n_ = 0;       // number of intervals
   size_t m_ = 0;       // implicit tree slots (2^h - 1 >= 2n)
   int height_ = 0;     // h
-  std::vector<double> keys_;  // keys_[p-1] = endpoint of rank p-1
+  primitives::UninitVector<double> keys_;  // keys_[p-1] = endpoint of rank p-1
   // CSR inner lists per node: by left endpoint ascending / right descending.
-  std::vector<uint32_t> node_left_off_, node_right_off_;  // size m_+1
+  primitives::UninitVector<uint32_t> node_left_off_, node_right_off_;  // m_+1
   std::vector<std::pair<double, uint32_t>> by_left_;   // (l, id)
   std::vector<std::pair<double, uint32_t>> by_right_;  // (r, id)
 };

@@ -12,6 +12,9 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "src/asym/counters.h"
@@ -22,6 +25,33 @@ namespace weg::primitives {
 inline constexpr size_t kBlockSize = 2048;
 
 inline size_t num_blocks(size_t n) { return (n + kBlockSize - 1) / kBlockSize; }
+
+// Allocator whose argument-less construct() default-initializes, so
+// resize() of an UninitVector of a trivial T leaves the new slots unwritten.
+// A parallel loop that then fills every slot is their first touch, in place
+// of a serial zero fill ahead of it.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+template <typename T>
+using UninitVector = std::vector<T, DefaultInitAllocator<T>>;
 
 // Parallel reduction with an associative combiner. O(n) work, O(log n) depth,
 // no large-memory writes (the partial results live in symmetric memory).
@@ -57,7 +87,8 @@ namespace detail {
 // shared engine for scan_exclusive below (which charges its traffic) and for
 // scans over uncharged bookkeeping buffers — the per-block histogram offsets
 // in counting_sort / the sampling semisort, which model scratch counters the
-// same way the histograms themselves always have.
+// same way the histograms themselves always have, and the post-sorted
+// interval tree's CSR offsets, which its build has never charged.
 template <typename T>
 T scan_exclusive_raw(T* a, size_t n) {
   if (n == 0) return T{};
@@ -106,11 +137,12 @@ T scan_exclusive(std::vector<T>& a) {
   return detail::scan_exclusive_raw(a.data(), n);
 }
 
-// Stable parallel pack: keeps a[i] where flag(i) is true. O(n) reads, output-
-// sized writes plus O(n / kBlockSize) bookkeeping. Depth O(log n).
-template <typename T, typename Flag>
-std::vector<T> pack(const std::vector<T>& a, Flag flag) {
-  size_t n = a.size();
+// Stable parallel pack of a computed sequence: get(i) for every i in [0, n)
+// with flag(i), in index order. O(n) reads, output-sized writes plus
+// O(n / kBlockSize) bookkeeping. Depth O(log n).
+template <typename Flag, typename Get>
+auto pack_index(size_t n, Flag flag, Get get)
+    -> std::vector<decltype(get(size_t{0}))> {
   size_t nb = num_blocks(n);
   std::vector<size_t> counts(nb, 0);
   asym::count_read(n);
@@ -129,7 +161,7 @@ std::vector<T> pack(const std::vector<T>& a, Flag flag) {
     counts[b] = total;
     total += c;
   }
-  std::vector<T> out(total);
+  std::vector<decltype(get(size_t{0}))> out(total);
   asym::count_write(total);
   parallel::parallel_for(
       0, nb,
@@ -137,11 +169,17 @@ std::vector<T> pack(const std::vector<T>& a, Flag flag) {
         size_t lo = b * kBlockSize, hi = std::min(n, lo + kBlockSize);
         size_t pos = counts[b];
         for (size_t i = lo; i < hi; ++i) {
-          if (flag(i)) out[pos++] = a[i];
+          if (flag(i)) out[pos++] = get(i);
         }
       },
       1);
   return out;
+}
+
+// Stable parallel pack: keeps a[i] where flag(i) is true.
+template <typename T, typename Flag>
+std::vector<T> pack(const std::vector<T>& a, Flag flag) {
+  return pack_index(a.size(), flag, [&](size_t i) { return a[i]; });
 }
 
 template <typename T, typename Pred>

@@ -5,6 +5,8 @@
 #include <cassert>
 #include <cmath>
 #include <memory>
+#include <new>
+#include <type_traits>
 #include <utility>
 
 #include "src/core/prefix_doubling.h"
@@ -47,12 +49,24 @@ struct Node {
 };
 
 struct Tree {
-  explicit Tree(const std::vector<uint64_t>& keys) : nodes(keys.size()) {
-    parallel::parallel_for(0, keys.size(),
-                           [&](size_t i) { nodes[i].key = keys[i]; });
+  // The node array is allocated, not constructed, and then built in
+  // parallel: each page is first touched by the worker that fills it, and no
+  // serial pass runs over the n nodes. Node is trivially destructible, so
+  // freeing needs no pass either.
+  explicit Tree(const std::vector<uint64_t>& keys)
+      : size(keys.size()),
+        nodes(static_cast<Node*>(::operator new(size * sizeof(Node)))) {
+    parallel::parallel_for(0, size,
+                           [&](size_t i) { ::new (&nodes[i]) Node{keys[i]}; });
   }
 
-  std::vector<Node> nodes;
+  struct NodesFree {
+    void operator()(Node* p) const { ::operator delete(p); }
+  };
+  static_assert(std::is_trivially_destructible_v<Node>);
+
+  size_t size;
+  std::unique_ptr<Node[], NodesFree> nodes;
   std::atomic<uint32_t> root{kEmpty};
 
   // Strict order on elements: by key, ties by index (so duplicates work).
@@ -249,7 +263,7 @@ struct Tree {
 // element attempts a priority-write each round and descends one level on
 // loss. Returns the number of rounds.
 size_t classic_rounds(Tree& tree, std::vector<uint32_t> elems) {
-  std::vector<uint64_t> cur_slot(tree.nodes.size());  // task register state
+  std::vector<uint64_t> cur_slot(tree.size);  // task register state
   for (uint32_t e : elems) cur_slot[e] = 0;
   size_t rounds = 0;
   while (!elems.empty()) {

@@ -5,12 +5,56 @@
 // workloads with structural validation (Corollary 7.2 path statistics).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "src/augtree/interval_tree.h"
 #include "src/primitives/random.h"
+#include "tests/testing_util.h"
 
 namespace weg::augtree {
+
+// Reads a static tree's private layout: one FNV-1a fingerprint each of
+// keys_, the two CSR offset arrays and the two per-node lists (coordinate
+// bits, then id).
+class IntervalTreeTestPeer {
+ public:
+  struct Layout {
+    uint64_t keys, left_off, right_off, by_left, by_right;
+  };
+
+  static Layout layout(const StaticIntervalTree& t) {
+    return {fingerprint(t.keys_), fingerprint(t.node_left_off_),
+            fingerprint(t.node_right_off_), fingerprint(t.by_left_),
+            fingerprint(t.by_right_)};
+  }
+
+ private:
+  struct Fnv {
+    uint64_t h = 1469598103934665603ULL;
+    void add(uint64_t w) {
+      for (int b = 0; b < 8; ++b) {
+        h = (h ^ ((w >> (8 * b)) & 0xFF)) * 1099511628211ULL;
+      }
+    }
+  };
+  static uint64_t word(double d) { return std::bit_cast<uint64_t>(d); }
+  static uint64_t word(uint32_t w) { return w; }
+  template <typename Vec>
+  static uint64_t fingerprint(const Vec& v) {
+    Fnv f;
+    for (const auto& x : v) {
+      if constexpr (requires { x.first; }) {
+        f.add(word(x.first));
+        f.add(word(x.second));
+      } else {
+        f.add(word(x));
+      }
+    }
+    return f.h;
+  }
+};
+
 namespace {
 
 enum class Pattern { kShort, kMixed, kNested, kPointLike, kSharedEndpoints };
@@ -128,6 +172,87 @@ TEST(StaticIT, CountingQueryWritesNothing) {
   t.stab_count(0.5);
   EXPECT_EQ(r.delta().writes, 0u);
 }
+
+// Layout goldens for the post-sorted build: keys_, both CSR offset arrays
+// and both per-node lists, byte for byte, plus the build's exact asym
+// counts. The inputs cover short random intervals, endpoints so heavily
+// duplicated that one node's run spans several pack blocks, a single interval,
+// and 2n a power of two (the +inf padding then fills half of keys_). The
+// p=1/2/8 reruns of this suite (tests/CMakeLists.txt) make them a
+// cross-worker-count determinism check as well.
+std::vector<Interval> clustered_endpoints(size_t n, uint64_t seed) {
+  primitives::Rng rng(seed);
+  std::vector<Interval> ivs(n);
+  for (size_t i = 0; i < n; ++i) {
+    double a = 0, b = 0;
+    if (i % 4 != 3) {  // straddles 0.5, so most share one node
+      a = double(rng.next_bounded(16)) / 32.0;
+      b = 0.5 + double(rng.next_bounded(16)) / 32.0;
+    } else {  // point-like, on a 16-value grid
+      a = b = double(rng.next_bounded(16)) / 16.0;
+    }
+    ivs[i] = Interval{a, b, uint32_t(i)};
+  }
+  return ivs;
+}
+
+struct LayoutGolden {
+  const char* name;
+  std::vector<Interval> (*input)();
+  IntervalTreeTestPeer::Layout layout;
+  uint64_t reads, writes;
+};
+
+void PrintTo(const LayoutGolden& g, std::ostream* os) { *os << g.name; }
+
+class PostsortedLayout : public ::testing::TestWithParam<LayoutGolden> {};
+
+TEST_P(PostsortedLayout, LayoutAndCountsArePinned) {
+  const LayoutGolden& g = GetParam();
+  auto ivs = g.input();
+  StaticIntervalTree::Stats st;
+  auto t = StaticIntervalTree::build_postsorted(ivs, &st);
+  ASSERT_TRUE(t.validate(ivs));
+  auto got = IntervalTreeTestPeer::layout(t);
+  EXPECT_EQ(got.keys, g.layout.keys);
+  EXPECT_EQ(got.left_off, g.layout.left_off);
+  EXPECT_EQ(got.right_off, g.layout.right_off);
+  EXPECT_EQ(got.by_left, g.layout.by_left);
+  EXPECT_EQ(got.by_right, g.layout.by_right);
+  EXPECT_EQ(st.cost.reads, g.reads);
+  EXPECT_EQ(st.cost.writes, g.writes);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Goldens, PostsortedLayout,
+    ::testing::Values(
+        LayoutGolden{"fixed20000",
+                     [] { return testing::fixed_intervals(20000, 0x60D); },
+                     {0x1d3d9d44b848d432ULL, 0xac981d4aa5d55a63ULL,
+                      0xac981d4aa5d55a63ULL, 0xce6c897901b36bf4ULL,
+                      0xc58813c8710a70a4ULL},
+                     1911074, 426685},
+        LayoutGolden{"clustered12000",
+                     [] { return clustered_endpoints(12000, 0xC1A5); },
+                     {0x6239a1e0f82818d6ULL, 0x63d6e519c7e15ec6ULL,
+                      0x63d6e519c7e15ec6ULL, 0xa7994a55acabd1dcULL,
+                      0xfe0ccb16e5b14078ULL},
+                     31101407, 8608772},
+        LayoutGolden{"single",
+                     [] { return std::vector<Interval>{{0.25, 0.75, 0}}; },
+                     {0x26a16fc8443dca22ULL, 0xe71868dec0bbb6e3ULL,
+                      0xe71868dec0bbb6e3ULL, 0xc99f51472ff9aa1aULL,
+                      0xc19016f699640692ULL},
+                     20, 38},
+        LayoutGolden{"pow2",
+                     [] { return make_intervals(Pattern::kMixed, 2048, 41); },
+                     {0xbd541b199af64215ULL, 0x5e2f8ab4d7c5addaULL,
+                      0x5e2f8ab4d7c5addaULL, 0xfda30767973186bdULL,
+                      0x4de892da5cc591d6ULL},
+                     159013, 43885}),
+    [](const ::testing::TestParamInfo<LayoutGolden>& info) {
+      return std::string(info.param.name);
+    });
 
 class DynamicIT : public ::testing::TestWithParam<uint64_t> {};
 

@@ -38,26 +38,11 @@ using kdtree::DynamicKdTree;
 using kdtree::LogForest;
 using parallel::Routing;
 using parallel::Sharded;
+using testing::fixed_intervals;
+using testing::stab_points;
 
 constexpr size_t kN = 30000;  // above the ~2k sequential cutoff
 const size_t kFanouts[] = {1, 2, 4, 8};
-
-std::vector<Interval> fixed_intervals(size_t n, uint64_t seed) {
-  primitives::Rng rng(seed);
-  std::vector<Interval> ivs(n);
-  for (size_t i = 0; i < n; ++i) {
-    double a = rng.next_double();
-    ivs[i] = Interval{a, a + rng.next_double() * 0.05, uint32_t(i)};
-  }
-  return ivs;
-}
-
-std::vector<double> stab_points(size_t q, uint64_t seed) {
-  primitives::Rng rng(seed);
-  std::vector<double> qs(q);
-  for (double& x : qs) x = rng.next_double();
-  return qs;
-}
 
 std::vector<geom::Box2> box_queries(size_t q, uint64_t seed, double extent) {
   primitives::Rng rng(seed);

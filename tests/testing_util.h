@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/augtree/interval.h"
 #include "src/augtree/priority_tree.h"
 #include "src/delaunay/mesh.h"
 #include "src/geom/point.h"
@@ -34,6 +35,28 @@ std::vector<geom::PointK<K>> random_points(size_t n, uint64_t seed) {
     for (int d = 0; d < K; ++d) p[d] = rng.next_double();
   }
   return pts;
+}
+
+// Short random intervals: left end uniform in [0,1), length uniform in
+// [0, 0.05), ids id0, id0+1, ...
+inline std::vector<augtree::Interval> fixed_intervals(size_t n, uint64_t seed,
+                                                      uint32_t id0 = 0) {
+  primitives::Rng rng(seed);
+  std::vector<augtree::Interval> ivs(n);
+  for (size_t i = 0; i < n; ++i) {
+    double a = rng.next_double();
+    ivs[i] = augtree::Interval{a, a + rng.next_double() * 0.05,
+                               id0 + uint32_t(i)};
+  }
+  return ivs;
+}
+
+// Uniform stabbing probes in [0,1).
+inline std::vector<double> stab_points(size_t q, uint64_t seed) {
+  primitives::Rng rng(seed);
+  std::vector<double> qs(q);
+  for (double& x : qs) x = rng.next_double();
+  return qs;
 }
 
 // Priority-search/range-tree points with ids 0..n-1. grid_cells > 0 snaps
