@@ -4,12 +4,12 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "src/parallel/fault.h"
-#include "src/parallel/par_build.h"
 #include "src/parallel/parallel_for.h"
 #include "src/primitives/semisort.h"
 #include "src/primitives/sort.h"
@@ -441,70 +441,26 @@ bool StaticIntervalTree::validate(const std::vector<Interval>& ivs) const {
   return true;
 }
 
-
-
 // ---------------------------------------------------------------------------
 // DynamicIntervalTree (Section 7.3)
 // ---------------------------------------------------------------------------
 //
-// Subtree rebuilds keep dead endpoint keys (they are just keys); dead keys
-// are dropped only at whole-tree rebuilds, which guarantees every live
-// interval can always find a storage node (its own endpoints are live keys
-// somewhere in the tree).
+// The skeleton (alpha.h) keeps dead endpoint keys in subtree rebuilds and
+// drops them only at whole-tree rebuilds, so every live interval can always
+// find a storage node: its own endpoints are keys somewhere in the tree.
 
-uint32_t DynamicIntervalTree::alloc() {
-  if (!free_.empty()) {
-    uint32_t v = free_.back();
-    free_.pop_back();
-    pool_[v] = Node{};
-    return v;
-  }
-  pool_.push_back(Node{});
-  return static_cast<uint32_t>(pool_.size() - 1);
-}
-
-uint32_t DynamicIntervalTree::insert_key(double key,
-                                         std::vector<uint32_t>& path) {
-  uint32_t nu = alloc();
-  pool_[nu].key = key;
-  pool_[nu].critical = true;  // every leaf is critical (weight 2)
-  pool_[nu].init_weight = 2;
-  // Pre-insertion weight: bump_weights_and_rebalance adds the new node's
-  // contribution along the whole path, including this fresh leaf.
-  pool_[nu].weight = 1;
+void DynamicIntervalTree::insert_key(double key) {
+  std::vector<uint32_t> path;
+  insert_leaf(key, std::less<double>(), path);
   ++node_count_;
-  ++root_weight_;
-  asym::count_write();  // attach the leaf
-  if (root_ == kNull) {
-    root_ = nu;
-    path.push_back(nu);
-    return nu;
-  }
-  uint32_t v = root_;
-  while (true) {
-    path.push_back(v);
-    asym::count_read();
-    // Equal keys descend right, matching erase's duplicate search.
-    if (key < pool_[v].key) {
-      if (pool_[v].left == kNull) {
-        pool_[v].left = nu;
-        break;
-      }
-      v = pool_[v].left;
-    } else {
-      if (pool_[v].right == kNull) {
-        pool_[v].right = nu;
-        break;
-      }
-      v = pool_[v].right;
-    }
-  }
-  path.push_back(nu);
-  return nu;
+  bump_and_rebalance(path, node_count_,
+                     [this](uint32_t v, uint32_t parent, uint64_t old_init) {
+                       rebuild(v, parent, old_init);
+                     });
 }
 
-uint32_t DynamicIntervalTree::find_storage(double l, double r) const {
-  uint32_t v = root_;
+uint32_t DynamicIntervalTree::find_storage(uint32_t v, double l,
+                                           double r) const {
   while (v != kNull) {
     asym::count_read();
     const Node& nd = pool_[v];
@@ -520,187 +476,47 @@ uint32_t DynamicIntervalTree::find_storage(double l, double r) const {
 }
 
 std::vector<Interval> DynamicIntervalTree::live_records() const {
-  std::vector<std::pair<double, bool>> keys;
+  std::vector<Entry> keys;
   std::vector<Interval> out;
   keys.reserve(node_count_);
   out.reserve(live_intervals_);
-  collect(root_, keys, out);
+  collect_intervals(root_, keys, out);
   asym::count_write(out.size());
   return out;
 }
 
-void DynamicIntervalTree::collect(uint32_t v,
-                                  std::vector<std::pair<double, bool>>& keys,
-                                  std::vector<Interval>& out_ivs) const {
-  if (v == kNull) return;
-  // Iterative in-order to tolerate deep secondary chains.
-  std::vector<std::pair<uint32_t, bool>> st{{v, false}};
-  while (!st.empty()) {
-    auto [u, expanded] = st.back();
-    st.pop_back();
-    const Node& nd = pool_[u];
-    if (expanded) {
-      asym::count_read();
-      keys.emplace_back(nd.key, nd.dead);
-      nd.by_l.for_each([&](double, uint32_t id) {
-        auto it = ivs_.find(id);
-        assert(it != ivs_.end());
-        out_ivs.push_back(it->second);
-      });
-      continue;
-    }
-    if (nd.right != kNull) st.push_back({nd.right, false});
-    st.push_back({u, true});
-    if (nd.left != kNull) st.push_back({nd.left, false});
-  }
+void DynamicIntervalTree::collect_intervals(uint32_t v,
+                                            std::vector<Entry>& keys,
+                                            std::vector<Interval>& ivs) const {
+  collect(v, keys, [&](const Node& nd) {
+    nd.by_l.for_each(
+        [&](double, uint32_t id) { ivs.push_back(ivs_.at(id)); });
+  });
 }
 
-uint32_t DynamicIntervalTree::build_balanced(
-    std::vector<std::pair<double, bool>>& keys, size_t lo, size_t hi) {
-  if (lo >= hi) return kNull;
-  // One path for every worker count: balanced_build_ids forks above the
-  // sequential cutoff and runs inline below it.
-  auto ids = parallel::claim_build_slots(pool_, free_, hi - lo);
-  return parallel::balanced_build_ids(
-      pool_, keys, lo, hi, ids.data(),
-      [](Node& nd, const std::pair<double, bool>& e) {
-        nd.key = e.first;
-        nd.dead = e.second;
-      });
-}
-
-void DynamicIntervalTree::set_critical(uint32_t v, uint64_t w,
-                                       uint64_t sibling_w) {
-  Node& nd = pool_[v];
-  nd.critical = is_critical_weight(w, sibling_w, alpha_);
-  if (nd.critical) {
-    nd.init_weight = w;
-    nd.weight = w;
-    asym::count_write();
-  }
-}
-
-uint64_t DynamicIntervalTree::mark_rec(uint32_t v, int par_depth) {
-  if (v == kNull) return 1;
-  asym::count_read();
-  uint32_t left = pool_[v].left, right = pool_[v].right;
-  uint64_t wl = 1, wr = 1;
-  parallel::par_do_if(par_depth > 0 && left != kNull && right != kNull,
-                      [&] { wl = mark_rec(left, par_depth - 1); },
-                      [&] { wr = mark_rec(right, par_depth - 1); });
-  if (left != kNull) set_critical(left, wl, wr);
-  if (right != kNull) set_critical(right, wr, wl);
-  return wl + wr;
-}
-
-void DynamicIntervalTree::mark_criticals(uint32_t v) {
-  uint64_t w = mark_rec(v, parallel::fork_depth_hint());
-  // Subtree root: sibling weight unknown here; rule (2) does not apply.
-  set_critical(v, w, 0);
-}
-
-void DynamicIntervalTree::rebuild(uint32_t v, uint32_t parent, int side,
+void DynamicIntervalTree::rebuild(uint32_t v, uint32_t parent,
                                   uint64_t old_init) {
-  ++rebuilds_;
-  std::vector<std::pair<double, bool>> keys;
-  std::vector<Interval> collected;
-  collect(v, keys, collected);
-  bool whole_tree = (parent == kNull);
-  if (whole_tree) {
-    std::vector<std::pair<double, bool>> live;
-    live.reserve(keys.size());
-    for (auto& k : keys) {
-      if (!k.second) live.push_back(k);
-    }
+  std::vector<Entry> keys;
+  std::vector<Interval> moved;
+  collect_intervals(v, keys, moved);
+  uint32_t fresh = replace(v, parent, old_init, keys,
+                           [this](const std::vector<Entry>& es) {
+                             return build_marked(es);
+                           });
+  if (parent == kNull) {
     dead_count_ = 0;
-    node_count_ = live.size();
-    keys.swap(live);
+    node_count_ = keys.size();
   }
-  free_subtree(v);
-  uint32_t fresh = build_balanced(keys, 0, keys.size());
-  if (whole_tree) {
-    root_ = fresh;
-    root_weight_ = keys.size() + 1;
-    root_init_ = root_weight_;
-  } else {
-    asym::count_write();
-    if (side == 0) {
-      pool_[parent].left = fresh;
-    } else {
-      pool_[parent].right = fresh;
-    }
-  }
-  if (fresh != kNull) {
-    mark_criticals(fresh);
-    // §7.3.2 exception: keep the new root unmarked when marking it would
-    // violate the Lemma 7.2 ratio with its critical parent.
-    if (!whole_tree && rebuild_root_exception(old_init, alpha_) &&
-        pool_[fresh].critical) {
-      pool_[fresh].critical = false;
-    }
-  }
-  // Reassign the collected intervals within the new subtree (the key set is
-  // unchanged for subtree rebuilds, so a storage node always exists).
-  for (const Interval& iv : collected) {
-    uint32_t u = fresh;
-    while (true) {
-      assert(u != kNull);
-      asym::count_read();
-      Node& nd = pool_[u];
-      if (iv.r < nd.key) {
-        u = nd.left;
-      } else if (iv.l > nd.key) {
-        u = nd.right;
-      } else {
-        nd.by_l.insert(iv.l, iv.id);
-        nd.by_r.insert(iv.r, iv.id);
-        break;
-      }
-    }
-  }
+  // A subtree rebuild keeps its key set, so every collected interval finds
+  // its storage node below `fresh`.
+  for (const Interval& iv : moved) store(fresh, iv);
 }
 
-void DynamicIntervalTree::bump_weights_and_rebalance(
-    const std::vector<uint32_t>& path) {
-  for (uint32_t v : path) {
-    if (pool_[v].critical) {
-      asym::count_write();
-      ++pool_[v].weight;
-    }
-  }
-  asym::count_write();  // virtual-root weight
-  if (root_weight_ >= 2 * root_init_ && node_count_ > 4) {
-    rebuild(root_, kNull, 0, root_init_);
-    return;
-  }
-  for (size_t i = 0; i < path.size(); ++i) {
-    uint32_t v = path[i];
-    const Node& nd = pool_[v];
-    if (nd.critical && nd.weight >= 2 * nd.init_weight) {
-      uint32_t parent = (i == 0) ? root_ : path[i - 1];
-      if (i == 0) {
-        // path[0] is the root itself; treat as whole-tree rebuild.
-        rebuild(root_, kNull, 0, root_init_);
-      } else {
-        int side = pool_[parent].right == v ? 1 : 0;
-        rebuild(v, parent, side, nd.init_weight);
-      }
-      return;  // only the topmost violated critical node
-    }
-  }
-}
-
-void DynamicIntervalTree::free_subtree(uint32_t v) {
-  if (v == kNull) return;
-  std::vector<uint32_t> st{v};
-  while (!st.empty()) {
-    uint32_t u = st.back();
-    st.pop_back();
-    if (pool_[u].left != kNull) st.push_back(pool_[u].left);
-    if (pool_[u].right != kNull) st.push_back(pool_[u].right);
-    pool_[u] = Node{};
-    free_.push_back(u);
-  }
+void DynamicIntervalTree::store(uint32_t v, const Interval& iv) {
+  uint32_t u = find_storage(v, iv.l, iv.r);
+  assert(u != kNull);
+  pool_[u].by_l.insert(iv.l, iv.id);
+  pool_[u].by_r.insert(iv.r, iv.id);
 }
 
 namespace {
@@ -784,35 +600,31 @@ Status DynamicIntervalTree::bulk_insert(const std::vector<Interval>& batch) {
   auto run = [&](auto&& self, uint32_t v, size_t lo, size_t hi) -> uint32_t {
     if (lo >= hi) return v;
     if (v == kNull) {
-      std::vector<std::pair<double, bool>> ks;
+      std::vector<Entry> ks;
       ks.reserve(hi - lo);
-      for (size_t i = lo; i < hi; ++i) ks.emplace_back(keys[i], false);
-      uint32_t fresh = build_balanced(ks, 0, ks.size());
-      if (fresh != kNull) mark_criticals(fresh);
-      return fresh;
+      for (size_t i = lo; i < hi; ++i) ks.push_back(Entry{keys[i], false});
+      return build_marked(ks);
     }
     asym::count_read();
     Node& nd0 = pool_[v];
     if (nd0.critical && nd0.weight + (hi - lo) >= 2 * nd0.init_weight) {
-      std::vector<std::pair<double, bool>> old_keys;
-      collect(v, old_keys, displaced);
+      std::vector<Entry> old_keys;
+      collect_intervals(v, old_keys, displaced);
       free_subtree(v);
-      std::vector<std::pair<double, bool>> merged;
+      std::vector<Entry> merged;
       merged.reserve(old_keys.size() + (hi - lo));
       size_t i = 0, j = lo;
       asym::count_read(old_keys.size() + (hi - lo));
       asym::count_write(old_keys.size() + (hi - lo));
       while (i < old_keys.size() || j < hi) {
-        if (j >= hi || (i < old_keys.size() && old_keys[i].first <= keys[j])) {
+        if (j >= hi || (i < old_keys.size() && old_keys[i].key <= keys[j])) {
           merged.push_back(old_keys[i++]);
         } else {
-          merged.emplace_back(keys[j++], false);
+          merged.push_back(Entry{keys[j++], false});
         }
       }
-      uint32_t fresh = build_balanced(merged, 0, merged.size());
-      if (fresh != kNull) mark_criticals(fresh);
       ++rebuilds_;
-      return fresh;
+      return build_marked(merged);
     }
     size_t mid = static_cast<size_t>(
         std::lower_bound(keys.begin() + static_cast<long>(lo),
@@ -832,38 +644,19 @@ Status DynamicIntervalTree::bulk_insert(const std::vector<Interval>& batch) {
   root_ = run(run, root_, 0, keys.size());
 
   // Assign the batch intervals plus any displaced by rebuilds.
-  auto assign = [&](const Interval& iv) {
-    uint32_t v = find_storage(iv.l, iv.r);
-    assert(v != kNull);
-    pool_[v].by_l.insert(iv.l, iv.id);
-    pool_[v].by_r.insert(iv.r, iv.id);
-  };
-  for (const Interval& iv : batch) assign(iv);
-  for (const Interval& iv : displaced) assign(iv);
+  for (const Interval& iv : batch) store(root_, iv);
+  for (const Interval& iv : displaced) store(root_, iv);
   live_intervals_ += batch.size();
-  if (root_weight_ >= 2 * root_init_) {
-    rebuild(root_, kNull, 0, root_init_);
-  }
+  if (root_weight_ >= 2 * root_init_) rebuild(root_, kNull, root_init_);
   return Status::Ok();
 }
 
 void DynamicIntervalTree::insert(const Interval& iv) {
   ivs_[iv.id] = iv;
   asym::count_write();
-  {
-    std::vector<uint32_t> path;
-    insert_key(iv.l, path);
-    bump_weights_and_rebalance(path);
-  }
-  {
-    std::vector<uint32_t> path;
-    insert_key(iv.r, path);
-    bump_weights_and_rebalance(path);
-  }
-  uint32_t v = find_storage(iv.l, iv.r);
-  assert(v != kNull);
-  pool_[v].by_l.insert(iv.l, iv.id);
-  pool_[v].by_r.insert(iv.r, iv.id);
+  insert_key(iv.l);
+  insert_key(iv.r);
+  store(root_, iv);
   ++live_intervals_;
 }
 
@@ -894,14 +687,14 @@ Expected<size_t> DynamicIntervalTree::bulk_erase(
 
 void DynamicIntervalTree::maybe_compact() {
   if (dead_count_ * 2 >= node_count_ && node_count_ > 16) {
-    rebuild(root_, kNull, 0, root_init_);
+    rebuild(root_, kNull, root_init_);
   }
 }
 
 bool DynamicIntervalTree::erase_one(const Interval& iv) {
   auto it = ivs_.find(iv.id);
   if (it == ivs_.end() || !(it->second == iv)) return false;
-  uint32_t v = find_storage(iv.l, iv.r);
+  uint32_t v = find_storage(root_, iv.l, iv.r);
   if (v == kNull) return false;
   if (!pool_[v].by_l.erase(iv.l, iv.id)) return false;
   pool_[v].by_r.erase(iv.r, iv.id);
@@ -986,32 +779,13 @@ std::vector<size_t> DynamicIntervalTree::stab_count_batch(
       qs.size(), [&](size_t i) { return stab_count(qs[i]); });
 }
 
-size_t DynamicIntervalTree::height() const {
-  auto rec = [&](auto&& self, uint32_t v) -> size_t {
-    if (v == kNull) return 0;
-    return 1 + std::max(self(self, pool_[v].left), self(self, pool_[v].right));
-  };
-  return rec(rec, root_);
-}
-
-size_t DynamicIntervalTree::critical_on_path_max() const {
-  auto rec = [&](auto&& self, uint32_t v) -> size_t {
-    if (v == kNull) return 0;
-    size_t below =
-        std::max(self(self, pool_[v].left), self(self, pool_[v].right));
-    return below + (pool_[v].critical ? 1 : 0);
-  };
-  return rec(rec, root_);
-}
-
 bool DynamicIntervalTree::validate() const {
   if (root_ == kNull) return live_intervals_ == 0;
-  bool ok = true;
+  bool ok = weights_valid();
   size_t stored = 0;
-  // BST order, treap invariants, intervals contain their node key, critical
-  // weights equal true subtree weights as tracked.
-  auto rec = [&](auto&& self, uint32_t v, double lo, double hi) -> uint64_t {
-    if (v == kNull) return 1;
+  // BST order, treap invariants, intervals contain their node key.
+  auto rec = [&](auto&& self, uint32_t v, double lo, double hi) -> void {
+    if (v == kNull) return;
     const Node& nd = pool_[v];
     if (!(nd.key >= lo && nd.key <= hi)) ok = false;
     ok = ok && nd.by_l.validate() && nd.by_r.validate();
@@ -1020,17 +794,11 @@ bool DynamicIntervalTree::validate() const {
       if (it == ivs_.end() || !it->second.contains(nd.key)) ok = false;
       ++stored;
     });
-    uint64_t w = self(self, nd.left, lo, nd.key) +
-                 self(self, nd.right, nd.key, hi);
-    if (nd.critical && nd.weight != w) ok = false;
-    return w;
+    self(self, nd.left, lo, nd.key);
+    self(self, nd.right, nd.key, hi);
   };
-  uint64_t w = rec(rec, root_,
-                   -std::numeric_limits<double>::infinity(),
-                   std::numeric_limits<double>::infinity());
-  if (w != root_weight_) ok = false;
-  if (stored != live_intervals_) ok = false;
-  return ok;
+  rec(rec, root_, -kInf, kInf);
+  return ok && stored == live_intervals_;
 }
 
 }  // namespace weg::augtree

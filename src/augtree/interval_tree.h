@@ -15,13 +15,15 @@
 // counting variant (Appendix A) binary-searches instead and writes nothing.
 //
 // DynamicIntervalTree — reconstruction-based rebalancing with α-labeling
-// (Section 7.3): the outer endpoint tree maintains subtree weights only at
-// critical nodes; updates write O(log_α n) weights and O(1) expected inner-
-// treap links, and a critical node whose weight doubles is rebuilt
-// (Theorem 7.4: O((ω + α) log_α n) amortized work per update, query
-// O(ωk + α log_α n)). Deletions mark endpoint nodes dead; dead nodes are
-// dropped on subtree rebuilds and a whole-tree rebuild triggers once half
-// the endpoints are dead.
+// (Section 7.3) on the shared skeleton of src/augtree/alpha.h: the outer
+// endpoint tree maintains subtree weights only at critical nodes; updates
+// write O(log_α n) weights and O(1) expected inner-treap links, and a
+// critical node whose weight doubles is rebuilt (Theorem 7.4:
+// O((ω + α) log_α n) amortized work per update, query O(ωk + α log_α n)).
+// A rebuild reassigns the collected intervals to the new nodes' treaps.
+// Deletions mark endpoint nodes dead; subtree rebuilds keep dead keys, and
+// the whole-tree rebuild that triggers once half the endpoints are dead
+// drops them.
 #pragma once
 
 #include <cstdint>
@@ -95,9 +97,17 @@ class StaticIntervalTree {
   std::vector<std::pair<double, uint32_t>> by_right_;  // (r, id)
 };
 
-class DynamicIntervalTree {
+namespace detail {
+// Endpoint-tree node: the key is one interval endpoint.
+struct IntervalNode : AlphaNode<double> {
+  Treap by_l;  // intervals stored here, keyed by left endpoint
+  Treap by_r;  // keyed by right endpoint
+};
+}  // namespace detail
+
+class DynamicIntervalTree : private AlphaSkeleton<detail::IntervalNode> {
  public:
-  explicit DynamicIntervalTree(uint64_t alpha = 2) : alpha_(alpha) {}
+  explicit DynamicIntervalTree(uint64_t alpha = 2) : AlphaSkeleton(alpha) {}
 
   void insert(const Interval& iv);
   // Erases by (l, r, id); returns false if absent.
@@ -146,55 +156,32 @@ class DynamicIntervalTree {
 
   size_t size() const { return live_intervals_; }
   size_t num_nodes() const { return node_count_; }
-  size_t rebuilds() const { return rebuilds_; }
-  // Longest root-leaf path (bench hook for Corollary 7.2).
-  size_t height() const;
-  size_t critical_on_path_max() const;  // max critical nodes on any path
+  using AlphaSkeleton::critical_on_path_max;
+  using AlphaSkeleton::height;
+  using AlphaSkeleton::rebuilds;
   bool validate() const;
 
  private:
-  static constexpr uint32_t kNull = UINT32_MAX;
+  using Node = detail::IntervalNode;
 
-  struct Node {
-    double key = 0;
-    uint32_t left = kNull;
-    uint32_t right = kNull;
-    bool critical = false;
-    bool dead = false;  // endpoint of an erased interval
-    uint64_t init_weight = 0;  // critical only
-    uint64_t weight = 0;       // critical only; root always maintains it
-    Treap by_l;  // intervals stored here, keyed by left endpoint
-    Treap by_r;  // keyed by right endpoint
-  };
-
-  uint32_t alloc();
-  void free_subtree(uint32_t v);
   // Erases one interval without the trailing dead-fraction rebuild check
   // (erase and bulk_erase share it; only the compaction cadence differs).
   bool erase_one(const Interval& iv);
   // Whole-tree rebuild (dropping dead keys) once half the endpoints are dead.
   void maybe_compact();
-  // BST-inserts an endpoint key; appends the path root..new leaf.
-  uint32_t insert_key(double key, std::vector<uint32_t>& path);
-  // Storage node for [l, r]: highest node with l <= key <= r.
-  uint32_t find_storage(double l, double r) const;
-  void bump_weights_and_rebalance(const std::vector<uint32_t>& path);
-  // Rebuilds the subtree at v; parent == kNull rebuilds the whole tree
-  // (dropping dead keys); side selects the parent's child slot.
-  void rebuild(uint32_t v, uint32_t parent, int side, uint64_t old_init);
-  // Builds via the shared id-slice path (src/parallel/par_build.h): forks
-  // above the sequential cutoff, inline below it.
-  uint32_t build_balanced(std::vector<std::pair<double, bool>>& keys,
-                          size_t lo, size_t hi);
-  // Post-order weight computation marking v's descendants critical per the
-  // α rule; returns the subtree weight. Forks on two-child nodes while
-  // par_depth > 0 (children touch disjoint nodes). set_critical applies the
-  // rule to one node given its and its sibling's weight.
-  uint64_t mark_rec(uint32_t v, int par_depth);
-  void set_critical(uint32_t v, uint64_t w, uint64_t sibling_w);
-  void mark_criticals(uint32_t v);
-  void collect(uint32_t v, std::vector<std::pair<double, bool>>& keys,
-               std::vector<Interval>& ivs) const;
+  // Storage node for [l, r] in v's subtree: the highest node with
+  // l <= key <= r.
+  uint32_t find_storage(uint32_t v, double l, double r) const;
+  // Stores iv at its storage node in v's subtree, which must exist.
+  void store(uint32_t v, const Interval& iv);
+  // Inserts one endpoint key as a fresh leaf and rebalances.
+  void insert_key(double key);
+  // Rebuilds the subtree at v (the whole tree when parent == kNull, dropping
+  // dead keys), then reassigns its intervals.
+  void rebuild(uint32_t v, uint32_t parent, uint64_t old_init);
+  // In-order endpoint keys of v's subtree plus the intervals stored there.
+  void collect_intervals(uint32_t v, std::vector<Entry>& keys,
+                         std::vector<Interval>& ivs) const;
 
   // The single templated stab traversal: descends the skeleton emitting the
   // id of every stored interval containing q. stab, stab_count, and the
@@ -202,17 +189,10 @@ class DynamicIntervalTree {
   template <typename F>
   void stab_visit(double q, F&& emit) const;
 
-  uint64_t alpha_;
   std::unordered_map<uint32_t, Interval> ivs_;  // id -> interval (for rebuilds)
-  std::vector<Node> pool_;
-  std::vector<uint32_t> free_;
-  uint32_t root_ = kNull;
-  uint64_t node_count_ = 0;   // live skeleton nodes (incl. dead-marked)
+  uint64_t node_count_ = 0;  // skeleton nodes (incl. dead-marked)
   uint64_t dead_count_ = 0;
-  uint64_t root_weight_ = 1;  // virtual critical root weight (= nodes + 1)
-  uint64_t root_init_ = 1;
   size_t live_intervals_ = 0;
-  size_t rebuilds_ = 0;
 };
 
 }  // namespace weg::augtree

@@ -19,6 +19,32 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 bool px_less(const PPoint& a, const PPoint& b) {
   return a.x < b.x || (a.x == b.x && a.id < b.id);
 }
+
+// Sorts rebuild entries by x. Small subtrees (the frequent leaf-level
+// reconstructions) fit in the symmetric memory (size Omega(log n)) and sort
+// there for the cost of reading them in and writing them out; larger
+// subtrees use the write-efficient sorter (linear writes).
+void sort_by_x(std::vector<AlphaEntry<PPoint>>& pts) {
+  using Entry = AlphaEntry<PPoint>;
+  if (pts.size() <= 64) {
+    asym::count_read(pts.size());
+    asym::count_write(pts.size());
+    std::sort(pts.begin(), pts.end(), [](const Entry& a, const Entry& b) {
+      return px_less(a.key, b.key);
+    });
+    return;
+  }
+  std::vector<uint64_t> keys(pts.size());
+  for (size_t i = 0; i < pts.size(); ++i) {
+    keys[i] = sort::double_to_sortable(pts[i].key.x);
+  }
+  asym::count_read(pts.size());
+  auto order = sort::incremental_sort_we_order_anyorder(keys);
+  std::vector<Entry> sorted(pts.size());
+  asym::count_write(pts.size());
+  for (size_t i = 0; i < pts.size(); ++i) sorted[i] = pts[order[i]];
+  pts.swap(sorted);
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -289,29 +315,15 @@ bool StaticPriorityTree::validate() const {
 // DynamicPriorityTree
 // ---------------------------------------------------------------------------
 
-uint32_t DynamicPriorityTree::alloc() {
-  if (!free_.empty()) {
-    uint32_t v = free_.back();
-    free_.pop_back();
-    pool_[v] = Node{};
-    return v;
-  }
-  pool_.push_back(Node{});
-  return static_cast<uint32_t>(pool_.size() - 1);
-}
-
 void DynamicPriorityTree::insert(const PPoint& p) {
   ++live_;
-  ++root_weight_;
-  asym::count_write();  // virtual-root weight
   if (root_ == kNull) {
-    root_ = alloc();
-    pool_[root_].critical = true;
+    root_ = alloc_leaf();
     pool_[root_].has_point = true;
-    pool_[root_].pt = p;
-    pool_[root_].init_weight = 2;
+    pool_[root_].key = p;
     pool_[root_].weight = 2;
-    asym::count_write();
+    ++root_weight_;
+    asym::count_write(2);  // the root and the virtual-root weight
     return;
   }
   std::vector<uint32_t> path;
@@ -324,8 +336,8 @@ void DynamicPriorityTree::insert(const PPoint& p) {
     Node& nd = pool_[v];
     // Swap down the chain of stored points: the node keeps the higher
     // priority (dead points participate — they still bound the subtree).
-    if (nd.has_point && carried.y > nd.pt.y) {
-      std::swap(carried, nd.pt);
+    if (nd.has_point && carried.y > nd.key.y) {
+      std::swap(carried, nd.key);
       std::swap(carried_dead, nd.dead);
       asym::count_write();
     }
@@ -336,78 +348,34 @@ void DynamicPriorityTree::insert(const PPoint& p) {
   Node& leaf = pool_[v];
   if (!leaf.has_point) {
     leaf.has_point = true;
-    leaf.pt = carried;
+    leaf.key = carried;
     leaf.dead = carried_dead;
     asym::count_write();
   } else {
     // Leaf keeps its (higher-y, post-swap) point and becomes internal; the
     // carried point descends into a fresh child leaf, its sibling empty.
-    // Fresh nodes start at weight 1 (no point); bump_and_rebalance below
+    // Fresh leaves start at weight 1 (no point); bump_and_rebalance below
     // accounts for the newly inserted point on the whole path.
     double split = carried.x;
-    uint32_t cl = alloc();
-    uint32_t cr = alloc();
+    uint32_t cl = alloc_leaf();  // carried.x <= split
+    uint32_t cr = alloc_leaf();
     Node& nd = pool_[v];  // re-fetch (alloc may reallocate)
     nd.split = split;
     nd.left = cl;
     nd.right = cr;
-    uint32_t target = cl;  // carried.x <= split
-    pool_[cl].critical = pool_[cr].critical = true;
-    pool_[cl].init_weight = pool_[cr].init_weight = 2;
-    pool_[cl].weight = pool_[cr].weight = 1;
-    pool_[target].has_point = true;
-    pool_[target].pt = carried;
-    pool_[target].dead = carried_dead;
+    pool_[cl].has_point = true;
+    pool_[cl].key = carried;
+    pool_[cl].dead = carried_dead;
     asym::count_write(2);
-    path.push_back(target);
+    path.push_back(cl);
   }
-  bump_and_rebalance(path);
+  bump_and_rebalance(path, live_ + dead_,
+                     [this](uint32_t v, uint32_t parent, uint64_t old_init) {
+                       rebuild(v, parent, old_init);
+                     });
 }
 
-void DynamicPriorityTree::bump_and_rebalance(
-    const std::vector<uint32_t>& path) {
-  for (uint32_t v : path) {
-    if (pool_[v].critical) {
-      asym::count_write();
-      ++pool_[v].weight;
-    }
-  }
-  if (root_weight_ >= 2 * root_init_ && live_ + dead_ > 4) {
-    rebuild(root_, kNull, 0, root_init_);
-    return;
-  }
-  for (size_t i = 0; i < path.size(); ++i) {
-    uint32_t v = path[i];
-    const Node& nd = pool_[v];
-    if (nd.critical && nd.weight >= 2 * nd.init_weight && nd.init_weight > 1) {
-      if (i == 0) {
-        rebuild(root_, kNull, 0, root_init_);
-      } else {
-        uint32_t parent = path[i - 1];
-        int side = pool_[parent].right == v ? 1 : 0;
-        rebuild(v, parent, side, nd.init_weight);
-      }
-      return;
-    }
-  }
-}
-
-void DynamicPriorityTree::collect_live(uint32_t v,
-                                       std::vector<PPoint>& out) const {
-  if (v == kNull) return;
-  std::vector<uint32_t> st{v};
-  while (!st.empty()) {
-    uint32_t u = st.back();
-    st.pop_back();
-    const Node& nd = pool_[u];
-    asym::count_read();
-    if (nd.has_point && !nd.dead) out.push_back(nd.pt);
-    if (nd.left != kNull) st.push_back(nd.left);
-    if (nd.right != kNull) st.push_back(nd.right);
-  }
-}
-
-uint32_t DynamicPriorityTree::build_range(std::vector<PPoint>& pts, size_t lo,
+uint32_t DynamicPriorityTree::build_range(std::vector<Entry>& pts, size_t lo,
                                           size_t hi, uint64_t sibling_points) {
   if (lo >= hi) return kNull;
   size_t n = hi - lo;
@@ -432,7 +400,7 @@ uint32_t DynamicPriorityTree::build_range(std::vector<PPoint>& pts, size_t lo,
 }
 
 uint32_t DynamicPriorityTree::build_range_ids(
-    std::vector<PPoint>& pts, size_t lo, size_t hi, uint64_t sibling_points,
+    std::vector<Entry>& pts, size_t lo, size_t hi, uint64_t sibling_points,
     const std::vector<uint32_t>& slots, std::atomic<uint32_t>& cursor) {
   if (lo >= hi) return kNull;
   uint64_t w = (hi - lo) + 1;
@@ -448,11 +416,12 @@ uint32_t DynamicPriorityTree::build_range_ids(
   if (nd.critical || hi - lo == 1) {
     size_t best = lo;
     for (size_t i = lo + 1; i < hi; ++i) {
-      if (pts[i].y > pts[best].y) best = i;
+      if (pts[i].key.y > pts[best].key.y) best = i;
     }
     asym::count_read(hi - lo);
     nd.has_point = true;
-    nd.pt = pts[best];
+    nd.key = pts[best].key;
+    nd.dead = pts[best].dead;
     // Remove by swapping toward the front, preserving x order of the rest
     // via rotation.
     std::rotate(pts.begin() + static_cast<long>(lo),
@@ -461,7 +430,7 @@ uint32_t DynamicPriorityTree::build_range_ids(
     begin = lo + 1;
   }
   if (begin >= hi) {
-    nd.split = nd.has_point ? nd.pt.x : 0;
+    nd.split = nd.has_point ? nd.key.x : 0;
     if (!nd.critical) {
       // A childless secondary node would be pointless; make it critical so
       // every leaf holds its point.
@@ -471,7 +440,7 @@ uint32_t DynamicPriorityTree::build_range_ids(
   }
   size_t rest = hi - begin;
   size_t mid = begin + (rest - 1) / 2;  // left keeps [begin, mid]
-  nd.split = pts[mid].x;
+  nd.split = pts[mid].key.x;
   uint64_t wl = (mid + 1 - begin) + 1, wr = (hi - (mid + 1)) + 1;
   uint32_t l = kNull, r = kNull;
   // Children mutate disjoint pts slices and allocate through the shared
@@ -485,65 +454,20 @@ uint32_t DynamicPriorityTree::build_range_ids(
   return id;
 }
 
-void DynamicPriorityTree::rebuild(uint32_t v, uint32_t parent, int side,
+void DynamicPriorityTree::rebuild(uint32_t v, uint32_t parent,
                                   uint64_t old_init) {
-  ++rebuilds_;
-  std::vector<PPoint> pts;
-  collect_live(v, pts);
-  // Free old subtree.
-  {
-    std::vector<uint32_t> st{v};
-    while (!st.empty()) {
-      uint32_t u = st.back();
-      st.pop_back();
-      if (pool_[u].left != kNull) st.push_back(pool_[u].left);
-      if (pool_[u].right != kNull) st.push_back(pool_[u].right);
-      bool was_dead = pool_[u].has_point && pool_[u].dead;
-      if (was_dead) --dead_;
-      pool_[u] = Node{};
-      free_.push_back(u);
-    }
-  }
-  // Sort by x. Small subtrees (the frequent leaf-level reconstructions)
-  // fit in the symmetric memory (size Omega(log n)) and sort there for the
-  // cost of reading them in and writing them out; larger subtrees use the
-  // write-efficient sorter (linear writes).
-  if (pts.size() <= 64) {
-    asym::count_read(pts.size());
-    asym::count_write(pts.size());
-    std::sort(pts.begin(), pts.end(), px_less);
-  } else {
-    std::vector<uint64_t> keys(pts.size());
-    for (size_t i = 0; i < pts.size(); ++i) {
-      keys[i] = sort::double_to_sortable(pts[i].x);
-    }
-    asym::count_read(pts.size());
-    auto order = sort::incremental_sort_we_order_anyorder(keys);
-    std::vector<PPoint> sorted(pts.size());
-    asym::count_write(pts.size());
-    for (size_t i = 0; i < pts.size(); ++i) sorted[i] = pts[order[i]];
-    pts.swap(sorted);
-  }
-  uint32_t fresh = pts.empty() ? kNull : build_range(pts, 0, pts.size(), 0);
-  if (parent == kNull) {
-    root_ = fresh;
-    root_weight_ = pts.size() + 1;
-    root_init_ = root_weight_;
-  } else {
-    asym::count_write();
-    if (side == 0) {
-      pool_[parent].left = fresh;
-    } else {
-      pool_[parent].right = fresh;
-    }
-  }
-  if (fresh != kNull && parent != kNull &&
-      rebuild_root_exception(old_init, alpha_) && pool_[fresh].critical &&
-      !pool_[fresh].has_point) {
-    // §7.3.2 exception: the fresh root stays secondary. We only unmark when
-    // it holds no point (labels drift until the next rebuild otherwise).
-    pool_[fresh].critical = false;
-  }
+  std::vector<Entry> pts;
+  collect(v, pts);
+  replace(
+      v, parent, old_init, pts,
+      [this](std::vector<Entry>& es) {
+        sort_by_x(es);
+        return build_range(es, 0, es.size(), 0);
+      },
+      // Points live only at critical nodes, so the §7.3.2 exception
+      // unmarks a fresh root only when it holds none.
+      [](const Node& nd) { return nd.has_point; });
+  if (parent == kNull) dead_ = 0;
 }
 
 bool DynamicPriorityTree::erase(const PPoint& p) {
@@ -552,8 +476,8 @@ bool DynamicPriorityTree::erase(const PPoint& p) {
     if (v == kNull || found) return;
     asym::count_read();
     Node& nd = pool_[v];
-    if (nd.has_point && nd.pt.y < p.y) return;  // heap prune
-    if (nd.has_point && !nd.dead && nd.pt == p) {
+    if (nd.has_point && nd.key.y < p.y) return;  // heap prune
+    if (nd.has_point && !nd.dead && nd.key == p) {
       asym::count_write();
       nd.dead = true;
       found = true;
@@ -569,7 +493,7 @@ bool DynamicPriorityTree::erase(const PPoint& p) {
   --live_;
   ++dead_;
   if (dead_ * 2 >= live_ + dead_ && live_ + dead_ > 8) {
-    rebuild(root_, kNull, 0, root_init_);
+    rebuild(root_, kNull, root_init_);
   }
   return true;
 }
@@ -583,8 +507,8 @@ void DynamicPriorityTree::query_rec(uint32_t v, double xlo, double xhi,
   asym::count_read();
   const Node& nd = pool_[v];
   if (nd.has_point) {
-    if (nd.pt.y < yb) return;  // heap prune (dead points prune too)
-    if (!nd.dead && nd.pt.x >= xl && nd.pt.x <= xr) report(nd.pt);
+    if (nd.key.y < yb) return;  // heap prune (dead points prune too)
+    if (!nd.dead && nd.key.x >= xl && nd.key.x <= xr) report(nd.key);
   }
   query_rec(nd.left, xlo, nd.split, xl, xr, yb, report);
   query_rec(nd.right, nd.split, xhi, xl, xr, yb, report);
@@ -628,16 +552,8 @@ std::vector<size_t> DynamicPriorityTree::query_count_batch(
   });
 }
 
-size_t DynamicPriorityTree::height() const {
-  auto rec = [&](auto&& self, uint32_t v) -> size_t {
-    if (v == kNull) return 0;
-    return 1 + std::max(self(self, pool_[v].left), self(self, pool_[v].right));
-  };
-  return rec(rec, root_);
-}
-
 bool DynamicPriorityTree::validate() const {
-  bool ok = true;
+  bool ok = weights_valid();
   size_t live_seen = 0;
   auto rec = [&](auto&& self, uint32_t v, double xlo, double xhi,
                  double ymax) -> void {
@@ -645,15 +561,13 @@ bool DynamicPriorityTree::validate() const {
     const Node& nd = pool_[v];
     double next_ymax = ymax;
     if (nd.has_point) {
-      if (nd.pt.y > ymax) ok = false;
-      if (nd.pt.x < xlo || nd.pt.x > xhi) ok = false;
+      if (nd.key.y > ymax) ok = false;
+      if (nd.key.x < xlo || nd.key.x > xhi) ok = false;
       if (!nd.dead) ++live_seen;
-      next_ymax = nd.pt.y;
+      next_ymax = nd.key.y;
     }
-    if (nd.left != kNull || nd.right != kNull) {
-      self(self, nd.left, xlo, nd.split, next_ymax);
-      self(self, nd.right, nd.split, xhi, next_ymax);
-    }
+    self(self, nd.left, xlo, nd.split, next_ymax);
+    self(self, nd.right, nd.split, xhi, next_ymax);
   };
   rec(rec, root_, -kInf, kInf, kInf);
   return ok && live_seen == live_;

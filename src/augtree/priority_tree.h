@@ -20,8 +20,11 @@
 // nodes (α-labeling); secondary nodes just partition x. An insertion swaps
 // the new point down the critical chain (O(log_α n) writes); deletions mark
 // points dead in place — a dead point still upper-bounds its subtree's
-// priorities, so query pruning stays correct — and the subtree is rebuilt
-// through the usual weight-doubling rule (weights here count points + 1).
+// priorities, so query pruning stays correct. Balancing is the shared α
+// skeleton's (src/augtree/alpha.h; weights count points + 1, dead ones
+// included): a rebuild runs the post-sorted build over the collected points,
+// subtree rebuilds keep dead points, and the whole-tree rebuild once half
+// are dead drops them.
 #pragma once
 
 #include <atomic>
@@ -97,9 +100,19 @@ class StaticPriorityTree {
   size_t n_ = 0;
 };
 
-class DynamicPriorityTree {
+namespace detail {
+// Priority-tree node: critical nodes hold a point (the key) above an
+// x-splitter; secondary nodes only split.
+struct PriorityNode : AlphaNode<PPoint> {
+  double split = 0;  // internal only
+  bool has_point = false;
+  bool holds_entry() const { return has_point; }
+};
+}  // namespace detail
+
+class DynamicPriorityTree : private AlphaSkeleton<detail::PriorityNode> {
  public:
-  explicit DynamicPriorityTree(uint64_t alpha = 2) : alpha_(alpha) {}
+  explicit DynamicPriorityTree(uint64_t alpha = 2) : AlphaSkeleton(alpha) {}
 
   void insert(const PPoint& p);
   bool erase(const PPoint& p);  // marks dead; false if absent
@@ -114,55 +127,35 @@ class DynamicPriorityTree {
       const std::vector<Query3Sided>& qs) const;
 
   size_t size() const { return live_; }
-  size_t rebuilds() const { return rebuilds_; }
-  size_t height() const;
+  using AlphaSkeleton::height;
+  using AlphaSkeleton::rebuilds;
   bool validate() const;
 
  private:
-  static constexpr uint32_t kNull = UINT32_MAX;
+  using Node = detail::PriorityNode;
 
-  struct Node {
-    double split = 0;          // internal only
-    uint32_t left = kNull;     // both kNull -> leaf
-    uint32_t right = kNull;
-    bool critical = false;
-    bool has_point = false;
-    bool dead = false;         // point marked erased (still prunes)
-    PPoint pt;
-    uint64_t init_weight = 0;  // critical only; weight = points + 1
-    uint64_t weight = 0;
-  };
-
-  uint32_t alloc();
-  void rebuild(uint32_t v, uint32_t parent, int side, uint64_t old_init);
+  // Rebuilds the subtree at v (the whole tree when parent == kNull, dropping
+  // dead points) with the post-sorted build.
+  void rebuild(uint32_t v, uint32_t parent, uint64_t old_init);
   // Post-sorted rebuild core over pts[lo, hi) (sorted by x): returns node.
   // Large rebuilds pre-grow the pool and fork sibling subtree builds.
-  uint32_t build_range(std::vector<PPoint>& pts, size_t lo, size_t hi,
+  uint32_t build_range(std::vector<Entry>& pts, size_t lo, size_t hi,
                        uint64_t sibling_points);
   // Parallel variant over pre-claimed slots handed out by `cursor`, so
   // sibling builds never touch the shared allocator and mutate disjoint pts
   // slices / pool entries.
-  uint32_t build_range_ids(std::vector<PPoint>& pts, size_t lo, size_t hi,
+  uint32_t build_range_ids(std::vector<Entry>& pts, size_t lo, size_t hi,
                            uint64_t sibling_points,
                            const std::vector<uint32_t>& slots,
                            std::atomic<uint32_t>& cursor);
-  void collect_live(uint32_t v, std::vector<PPoint>& out) const;
-  void bump_and_rebalance(const std::vector<uint32_t>& path);
   // The single templated query traversal; query, query_count, and the batch
   // variants all instantiate it with different report sinks.
   template <typename F>
   void query_rec(uint32_t v, double xlo, double xhi, double xl, double xr,
                  double yb, F&& report) const;
 
-  uint64_t alpha_;
-  std::vector<Node> pool_;
-  std::vector<uint32_t> free_;
-  uint32_t root_ = kNull;
-  uint64_t root_weight_ = 1;  // points + 1
-  uint64_t root_init_ = 1;
   size_t live_ = 0;
   size_t dead_ = 0;
-  size_t rebuilds_ = 0;
 };
 
 }  // namespace weg::augtree

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <limits>
 
-#include "src/parallel/par_build.h"
 #include "src/parallel/parallel_for.h"
 #include "src/primitives/sort.h"
 #include "src/sort/incremental_sort.h"
@@ -38,17 +37,6 @@ std::vector<uint32_t> we_order_by_x(const std::vector<PPoint>& pts) {
     i = j;
   }
   return order;
-}
-
-std::vector<uint32_t> we_order_by_y(const std::vector<PPoint>& pts) {
-  // Callers pass x-ordered collections (reconstruction), so the random-order
-  // precondition does not hold; use the shuffling variant.
-  std::vector<uint64_t> keys(pts.size());
-  for (size_t i = 0; i < pts.size(); ++i) {
-    keys[i] = sort::double_to_sortable(pts[i].y);
-  }
-  asym::count_read(pts.size());
-  return sort::incremental_sort_we_order_anyorder(keys);
 }
 
 }  // namespace
@@ -296,75 +284,24 @@ bool StaticRangeTree::validate() const {
 // AlphaRangeTree
 // ---------------------------------------------------------------------------
 
-uint32_t AlphaRangeTree::alloc() {
-  if (!free_.empty()) {
-    uint32_t v = free_.back();
-    free_.pop_back();
-    pool_[v] = Node{};
-    return v;
+std::vector<AlphaRangeTree::YX> AlphaRangeTree::y_list(
+    const std::vector<PPoint>& pts) {
+  // Rebuilds pass x-ordered points, so the random-order precondition does
+  // not hold; use the shuffling variant.
+  std::vector<uint64_t> keys(pts.size());
+  for (size_t i = 0; i < pts.size(); ++i) {
+    keys[i] = sort::double_to_sortable(pts[i].y);
   }
-  pool_.push_back(Node{});
-  return static_cast<uint32_t>(pool_.size() - 1);
-}
-
-void AlphaRangeTree::set_critical(uint32_t v, uint64_t w, uint64_t sw) {
-  Node& nd = pool_[v];
-  nd.critical = is_critical_weight(w, sw, alpha_);
-  if (nd.critical) {
-    nd.init_weight = w;
-    nd.weight = w;
-    asym::count_write();
+  asym::count_read(pts.size());
+  auto yorder = sort::incremental_sort_we_order_anyorder(keys);
+  std::vector<YX> ylist(pts.size());
+  asym::count_read(pts.size());
+  asym::count_write(pts.size());
+  for (size_t i = 0; i < pts.size(); ++i) {
+    const PPoint& p = pts[yorder[i]];
+    ylist[i] = YX{p.y, p.id, p.x};
   }
-}
-
-uint64_t AlphaRangeTree::mark_rec(uint32_t v, int par_depth) {
-  if (v == kNull) return 1;
-  asym::count_read();
-  uint32_t left = pool_[v].left, right = pool_[v].right;
-  uint64_t wl = 1, wr = 1;
-  parallel::par_do_if(par_depth > 0 && left != kNull && right != kNull,
-                      [&] { wl = mark_rec(left, par_depth - 1); },
-                      [&] { wr = mark_rec(right, par_depth - 1); });
-  if (left != kNull) set_critical(left, wl, wr);
-  if (right != kNull) set_critical(right, wr, wl);
-  return wl + wr;
-}
-
-void AlphaRangeTree::mark_criticals(uint32_t v) {
-  uint64_t w = mark_rec(v, parallel::fork_depth_hint());
-  set_critical(v, w, 0);
-}
-
-void AlphaRangeTree::collect_inorder(uint32_t v,
-                                     std::vector<SkelEntry>& entries) const {
-  if (v == kNull) return;
-  std::vector<std::pair<uint32_t, bool>> st{{v, false}};
-  while (!st.empty()) {
-    auto [u, expanded] = st.back();
-    st.pop_back();
-    const Node& nd = pool_[u];
-    if (expanded) {
-      asym::count_read();
-      entries.push_back(SkelEntry{nd.pt, nd.dead});
-      continue;
-    }
-    if (nd.right != kNull) st.push_back({nd.right, false});
-    st.push_back({u, true});
-    if (nd.left != kNull) st.push_back({nd.left, false});
-  }
-}
-
-uint32_t AlphaRangeTree::build_balanced(std::vector<SkelEntry>& pts,
-                                        size_t lo, size_t hi) {
-  if (lo >= hi) return kNull;
-  // One path for every worker count: balanced_build_ids forks above the
-  // sequential cutoff and runs inline below it.
-  auto ids = parallel::claim_build_slots(pool_, free_, hi - lo);
-  return parallel::balanced_build_ids(pool_, pts, lo, hi, ids.data(),
-                                      [](Node& nd, const SkelEntry& e) {
-                                        nd.pt = e.pt;
-                                        nd.dead = e.dead;
-                                      });
+  return ylist;
 }
 
 void AlphaRangeTree::fill_inners(uint32_t c, std::vector<YX>& ylist) {
@@ -401,10 +338,9 @@ void AlphaRangeTree::fill_inners(uint32_t c, std::vector<YX>& ylist) {
         bucket_of(u).push_back(e);
         break;
       }
-      if (nd.pt.id == e.id && nd.pt.x == e.x) break;  // the entry is node u
-      uint32_t next = (e.x < nd.pt.x || (e.x == nd.pt.x && e.id < nd.pt.id))
-                          ? nd.left
-                          : nd.right;
+      if (nd.key.id == e.id && nd.key.x == e.x) break;  // the entry is node u
+      uint32_t next =
+          xless(PPoint{e.x, e.y, e.id}, nd.key) ? nd.left : nd.right;
       assert(next != kNull);
       u = next;
     }
@@ -421,96 +357,24 @@ void AlphaRangeTree::fill_inners(uint32_t c, std::vector<YX>& ylist) {
   }
 }
 
-void AlphaRangeTree::rebuild(uint32_t v, uint32_t parent, int side,
-                             uint64_t old_init) {
-  ++rebuilds_;
-  std::vector<SkelEntry> entries;
-  collect_inorder(v, entries);
-  bool whole = (parent == kNull);
-  if (whole) {
-    std::vector<SkelEntry> live;
-    live.reserve(entries.size());
-    for (auto& e : entries) {
-      if (!e.dead) live.push_back(e);
-    }
-    dead_ = 0;
-    entries.swap(live);
-  }
-  // Free old subtree (treaps die with the nodes).
-  {
-    std::vector<uint32_t> st{v};
-    while (!st.empty()) {
-      uint32_t u = st.back();
-      st.pop_back();
-      if (pool_[u].left != kNull) st.push_back(pool_[u].left);
-      if (pool_[u].right != kNull) st.push_back(pool_[u].right);
-      pool_[u] = Node{};
-      free_.push_back(u);
-    }
-  }
-  uint32_t fresh = build_balanced(entries, 0, entries.size());
-  if (whole) {
-    root_ = fresh;
-    root_weight_ = entries.size() + 1;
-    root_init_ = root_weight_;
-  } else {
-    asym::count_write();
-    if (side == 0) {
-      pool_[parent].left = fresh;
-    } else {
-      pool_[parent].right = fresh;
-    }
-  }
+void AlphaRangeTree::rebuild(uint32_t v, uint32_t parent, uint64_t old_init) {
+  std::vector<Entry> entries;
+  collect(v, entries);
+  uint32_t fresh = replace(v, parent, old_init, entries,
+                           [this](const std::vector<Entry>& es) {
+                             return build_marked(es);
+                           });
+  if (parent == kNull) dead_ = 0;
   if (fresh == kNull) return;
-  mark_criticals(fresh);
-  if (!whole && rebuild_root_exception(old_init, alpha_) &&
-      pool_[fresh].critical) {
-    pool_[fresh].critical = false;
-  }
   // Rebuild the inner trees: one write-efficient y-sort of the live points,
   // then the Appendix A ordered filter down the critical hierarchy.
   std::vector<PPoint> live;
   live.reserve(entries.size());
-  for (auto& e : entries) {
-    if (!e.dead) live.push_back(e.pt);
+  for (const Entry& e : entries) {
+    if (!e.dead) live.push_back(e.key);
   }
-  auto yorder = we_order_by_y(live);
-  std::vector<YX> ylist(live.size());
-  asym::count_read(live.size());
-  asym::count_write(live.size());
-  for (size_t i = 0; i < live.size(); ++i) {
-    const PPoint& p = live[yorder[i]];
-    ylist[i] = YX{p.y, p.id, p.x};
-  }
+  auto ylist = y_list(live);
   fill_inners(fresh, ylist);
-}
-
-void AlphaRangeTree::bump_and_rebalance(const std::vector<uint32_t>& path) {
-  for (uint32_t v : path) {
-    if (pool_[v].critical) {
-      asym::count_write();
-      ++pool_[v].weight;
-    }
-  }
-  asym::count_write();  // virtual-root weight
-  if (root_weight_ >= 2 * root_init_ && live_ + dead_ > 4) {
-    rebuild(root_, kNull, 0, root_init_);
-    return;
-  }
-  for (size_t i = 0; i < path.size(); ++i) {
-    uint32_t v = path[i];
-    const Node& nd = pool_[v];
-    if (nd.critical && nd.weight >= 2 * nd.init_weight) {
-      if (i == 0) {
-        rebuild(root_, kNull, 0, root_init_);
-      } else {
-        uint32_t parent = path[i - 1];
-        int side = pool_[parent].right == v ? 1 : 0;
-        rebuild(v, parent, side, nd.init_weight);
-      }
-      return;
-    }
-  }
 }
 
 AlphaRangeTree AlphaRangeTree::build(const std::vector<PPoint>& pts,
@@ -519,26 +383,17 @@ AlphaRangeTree AlphaRangeTree::build(const std::vector<PPoint>& pts,
   AlphaRangeTree t(alpha);
   if (!pts.empty()) {
     auto order = we_order_by_x(pts);
-    std::vector<SkelEntry> entries(pts.size());
+    std::vector<Entry> entries(pts.size());
     asym::count_read(pts.size());
     asym::count_write(pts.size());
     for (size_t i = 0; i < pts.size(); ++i) {
-      entries[i] = SkelEntry{pts[order[i]], false};
+      entries[i] = Entry{pts[order[i]], false};
     }
-    t.root_ = t.build_balanced(entries, 0, entries.size());
+    t.root_ = t.build_marked(entries);
     t.root_weight_ = entries.size() + 1;
     t.root_init_ = t.root_weight_;
     t.live_ = pts.size();
-    t.mark_criticals(t.root_);
-    std::vector<PPoint> live(pts.begin(), pts.end());
-    auto yorder = we_order_by_y(live);
-    std::vector<YX> ylist(live.size());
-    asym::count_read(live.size());
-    asym::count_write(live.size());
-    for (size_t i = 0; i < live.size(); ++i) {
-      const PPoint& p = live[yorder[i]];
-      ylist[i] = YX{p.y, p.id, p.x};
-    }
+    auto ylist = y_list(pts);
     t.fill_inners(t.root_, ylist);
   }
   if (cost) *cost = region.delta();
@@ -547,44 +402,17 @@ AlphaRangeTree AlphaRangeTree::build(const std::vector<PPoint>& pts,
 
 void AlphaRangeTree::insert(const PPoint& p) {
   ++live_;
-  ++root_weight_;
   std::vector<uint32_t> path;
-  uint32_t nu = alloc();
-  pool_[nu].pt = p;
-  pool_[nu].critical = true;
-  pool_[nu].init_weight = 2;
-  pool_[nu].weight = 1;  // bump adds the new node's contribution
-  asym::count_write();
-  if (root_ == kNull) {
-    root_ = nu;
-    path.push_back(nu);
-  } else {
-    uint32_t v = root_;
-    while (true) {
-      path.push_back(v);
-      asym::count_read();
-      if (xless(p, pool_[v].pt)) {
-        if (pool_[v].left == kNull) {
-          pool_[v].left = nu;
-          break;
-        }
-        v = pool_[v].left;
-      } else {
-        if (pool_[v].right == kNull) {
-          pool_[v].right = nu;
-          break;
-        }
-        v = pool_[v].right;
-      }
-    }
-    path.push_back(nu);
-  }
+  insert_leaf(p, xless, path);
   // The new point joins the inner tree of every critical node on its path
   // (O(log_alpha n) treaps, O(1) expected writes each).
   for (uint32_t v : path) {
     if (pool_[v].critical) pool_[v].inner.insert(p.y, p.id);
   }
-  bump_and_rebalance(path);
+  bump_and_rebalance(path, live_ + dead_,
+                     [this](uint32_t v, uint32_t parent, uint64_t old_init) {
+                       rebuild(v, parent, old_init);
+                     });
 }
 
 bool AlphaRangeTree::erase(const PPoint& p) {
@@ -596,11 +424,11 @@ bool AlphaRangeTree::erase(const PPoint& p) {
     path.push_back(v);
     asym::count_read();
     const Node& nd = pool_[v];
-    if (nd.pt.id == p.id && nd.pt.x == p.x && nd.pt.y == p.y) {
+    if (nd.key == p) {
       target = v;
       break;
     }
-    v = xless(p, nd.pt) ? nd.left : nd.right;
+    v = xless(p, nd.key) ? nd.left : nd.right;
   }
   if (target == kNull || pool_[target].dead) return false;
   asym::count_write();
@@ -611,7 +439,7 @@ bool AlphaRangeTree::erase(const PPoint& p) {
     if (pool_[u].critical) pool_[u].inner.erase(p.y, p.id);
   }
   if (dead_ * 2 >= live_ + dead_ && live_ + dead_ > 8) {
-    rebuild(root_, kNull, 0, root_init_);
+    rebuild(root_, kNull, root_init_);
   }
   return true;
 }
@@ -625,7 +453,7 @@ void AlphaRangeTree::cover(uint32_t v, double yb, double yt, F&& emit) const {
     nd.inner.report_range(yb, yt, [&](double, uint32_t id) { emit(id); });
     return;
   }
-  if (!nd.dead && nd.pt.y >= yb && nd.pt.y <= yt) emit(nd.pt.id);
+  if (!nd.dead && nd.key.y >= yb && nd.key.y <= yt) emit(nd.key.id);
   cover(nd.left, yb, yt, emit);
   cover(nd.right, yb, yt, emit);
 }
@@ -642,12 +470,12 @@ void AlphaRangeTree::query_rec(uint32_t v, double lo, double hi, double xl,
     cover(v, yb, yt, emit);
     return;
   }
-  if (!nd.dead && nd.pt.x >= xl && nd.pt.x <= xr && nd.pt.y >= yb &&
-      nd.pt.y <= yt) {
-    emit(nd.pt.id);
+  if (!nd.dead && nd.key.x >= xl && nd.key.x <= xr && nd.key.y >= yb &&
+      nd.key.y <= yt) {
+    emit(nd.key.id);
   }
-  query_rec(nd.left, lo, nd.pt.x, xl, xr, yb, yt, emit);
-  query_rec(nd.right, nd.pt.x, hi, xl, xr, yb, yt, emit);
+  query_rec(nd.left, lo, nd.key.x, xl, xr, yb, yt, emit);
+  query_rec(nd.right, nd.key.x, hi, xl, xr, yb, yt, emit);
 }
 
 std::vector<uint32_t> AlphaRangeTree::query(double xl, double xr, double yb,
@@ -693,14 +521,6 @@ std::vector<size_t> AlphaRangeTree::query_count_batch(
   });
 }
 
-size_t AlphaRangeTree::height() const {
-  auto rec = [&](auto&& self, uint32_t v) -> size_t {
-    if (v == kNull) return 0;
-    return 1 + std::max(self(self, pool_[v].left), self(self, pool_[v].right));
-  };
-  return rec(rec, root_);
-}
-
 size_t AlphaRangeTree::inner_entries() const {
   size_t total = 0;
   auto rec = [&](auto&& self, uint32_t v) -> void {
@@ -715,35 +535,24 @@ size_t AlphaRangeTree::inner_entries() const {
 
 bool AlphaRangeTree::validate() const {
   if (root_ == kNull) return live_ == 0;
-  bool ok = true;
+  bool ok = weights_valid();
   size_t live_seen = 0;
-  // Returns (weight, live count); checks BST order, critical weights, and
-  // inner-tree sizes.
-  struct R {
-    uint64_t w;
-    size_t live;
-  };
-  auto rec = [&](auto&& self, uint32_t v) -> R {
-    if (v == kNull) return {1, 0};
+  // Returns the live count; checks BST order and inner-tree sizes.
+  auto rec = [&](auto&& self, uint32_t v) -> size_t {
+    if (v == kNull) return 0;
     const Node& nd = pool_[v];
-    if (nd.left != kNull && !xless(pool_[nd.left].pt, nd.pt)) ok = false;
-    if (nd.right != kNull && xless(pool_[nd.right].pt, nd.pt)) ok = false;
-    R l = self(self, nd.left);
-    R r = self(self, nd.right);
-    uint64_t w = l.w + r.w;
-    size_t live = l.live + r.live + (nd.dead ? 0 : 1);
+    if (nd.left != kNull && !xless(pool_[nd.left].key, nd.key)) ok = false;
+    if (nd.right != kNull && xless(pool_[nd.right].key, nd.key)) ok = false;
+    size_t live =
+        self(self, nd.left) + self(self, nd.right) + (nd.dead ? 0 : 1);
     if (!nd.dead) ++live_seen;
-    if (nd.critical) {
-      if (nd.weight != w) ok = false;
-      if (nd.inner.size() != live) ok = false;
-      if (!nd.inner.validate()) ok = false;
+    if (nd.critical && (nd.inner.size() != live || !nd.inner.validate())) {
+      ok = false;
     }
-    return {w, live};
+    return live;
   };
-  R root_r = rec(rec, root_);
-  if (root_r.w != root_weight_) ok = false;
-  if (live_seen != live_) ok = false;
-  return ok;
+  rec(rec, root_);
+  return ok && live_seen == live_;
 }
 
 }  // namespace weg::augtree

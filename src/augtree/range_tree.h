@@ -14,10 +14,11 @@
 //   * an update touches O(log_α n) inner treaps (O(1) expected writes each),
 //   * a query may visit up to O(α log_α n) inner trees, each O(log n):
 //     O(ωk + α log_α n log n) work (Table 1, last row).
-// Balancing is reconstruction-based via the same weight-doubling rule as the
-// other α structures; critical-node inner lists are derived from their
-// critical parent's y-sorted list by an ordered filter (Appendix A), giving
-// the O((α + ω) s log_α s) rebuild bound.
+// Balancing is the weight-doubling reconstruction of the shared α skeleton
+// (src/augtree/alpha.h); a rebuild derives each critical node's inner list
+// from its critical parent's y-sorted list by an ordered filter (Appendix
+// A), giving the O((α + ω) s log_α s) rebuild bound. Erased points stay as
+// dead skeleton keys until the whole-tree rebuild once half are dead.
 #pragma once
 
 #include <cstdint>
@@ -83,9 +84,16 @@ class StaticRangeTree {
   void visit_query(double xl, double xr, V&& vis) const;
 };
 
-class AlphaRangeTree {
+namespace detail {
+// Range-tree node: the key is one point, ordered by (x, id).
+struct RangeNode : AlphaNode<PPoint> {
+  Treap inner;  // (y, id) of all live points in this subtree (critical only)
+};
+}  // namespace detail
+
+class AlphaRangeTree : private AlphaSkeleton<detail::RangeNode> {
  public:
-  explicit AlphaRangeTree(uint64_t alpha = 2) : alpha_(alpha) {}
+  explicit AlphaRangeTree(uint64_t alpha = 2) : AlphaSkeleton(alpha) {}
 
   // Bulk construction (used for the Table 1 construction row): repeated
   // insertion is also supported but slower.
@@ -106,35 +114,18 @@ class AlphaRangeTree {
       const std::vector<RangeQuery2D>& qs) const;
 
   size_t size() const { return live_; }
-  size_t rebuilds() const { return rebuilds_; }
-  size_t height() const;
+  using AlphaSkeleton::height;
+  using AlphaSkeleton::rebuilds;
   size_t inner_entries() const;  // total augmentation size (n log_α n)
   bool validate() const;
 
  private:
-  static constexpr uint32_t kNull = UINT32_MAX;
-
-  struct Node {
-    PPoint pt;
-    uint32_t left = kNull;
-    uint32_t right = kNull;
-    bool critical = false;
-    bool dead = false;
-    uint64_t init_weight = 0;
-    uint64_t weight = 0;
-    Treap inner;  // (y, id) of all live points in this subtree (critical only)
-  };
+  using Node = detail::RangeNode;
 
   static bool xless(const PPoint& a, const PPoint& b) {
     return a.x < b.x || (a.x == b.x && a.id < b.id);
   }
 
-  // Skeleton entry used during rebuilds (dead keys are kept by subtree
-  // rebuilds and dropped by whole-tree rebuilds).
-  struct SkelEntry {
-    PPoint pt;
-    bool dead;
-  };
   // y-sorted routing entry used while deriving inner lists (Appendix A
   // ordered filter); carries x so routing needs no side lookups.
   struct YX {
@@ -143,19 +134,15 @@ class AlphaRangeTree {
     double x;
   };
 
-  uint32_t alloc();
-  void bump_and_rebalance(const std::vector<uint32_t>& path);
-  void rebuild(uint32_t v, uint32_t parent, int side, uint64_t old_init);
-  // Builds via the shared id-slice path (src/parallel/par_build.h): forks
-  // above the sequential cutoff, inline below it.
-  uint32_t build_balanced(std::vector<SkelEntry>& pts, size_t lo, size_t hi);
-  uint64_t mark_rec(uint32_t v, int par_depth);
-  void set_critical(uint32_t v, uint64_t w, uint64_t sw);
-  void mark_criticals(uint32_t v);
+  // Rebuilds the subtree at v (the whole tree when parent == kNull, dropping
+  // dead points), then its inner trees.
+  void rebuild(uint32_t v, uint32_t parent, uint64_t old_init);
+  // The y-sorted routing list of the given points (one write-efficient
+  // y-sort).
+  static std::vector<YX> y_list(const std::vector<PPoint>& pts);
   // Builds inner treaps for c and its critical descendants from c's y-sorted
   // live-point list by ordered filtering (Appendix A).
   void fill_inners(uint32_t c, std::vector<YX>& ylist);
-  void collect_inorder(uint32_t v, std::vector<SkelEntry>& entries) const;
 
   template <typename F>
   void cover(uint32_t v, double yb, double yt, F&& emit) const;
@@ -165,15 +152,8 @@ class AlphaRangeTree {
   void query_rec(uint32_t v, double lo, double hi, double xl, double xr,
                  double yb, double yt, F&& emit) const;
 
-  uint64_t alpha_;
-  std::vector<Node> pool_;
-  std::vector<uint32_t> free_;
-  uint32_t root_ = kNull;
-  uint64_t root_weight_ = 1;
-  uint64_t root_init_ = 1;
   size_t live_ = 0;
   size_t dead_ = 0;
-  size_t rebuilds_ = 0;
 };
 
 }  // namespace weg::augtree

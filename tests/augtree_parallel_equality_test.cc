@@ -2,8 +2,8 @@
 // on fixed-seed inputs large enough to engage the parallel construction
 // paths (n >> the ~2k sequential cutoff) and must answer a fixed query set
 // identically to a serial brute-force oracle. The CMake registration reruns
-// this suite at WEG_NUM_THREADS=1 and WEG_NUM_THREADS=8, so a parallel build
-// answering differently from a serial build fails one of the two runs.
+// this suite at WEG_NUM_THREADS=1, 2 and 8, so a parallel build answering
+// differently from a serial build fails one of the runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -212,6 +212,176 @@ TEST(ParallelEquality, DynamicPriorityTreeRebuildsMatchBruteForce) {
     auto expect = sorted(brute_3sided(pts, xl, xr, yb));
     EXPECT_EQ(sorted(t.query(xl, xr, yb)), expect);
     EXPECT_EQ(t.query_count(xl, xr, yb), expect.size());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Update-path goldens: the α-labeled trees under single inserts and erases.
+// ---------------------------------------------------------------------------
+
+// What one fixed update sequence leaves behind: the asym counts of the
+// updates, the rebuild count and shape, one tree-specific figure
+// (critical_on_path_max for intervals, inner_entries for the range tree, 0
+// for the priority tree) and an FNV-1a fingerprint of the sorted answers to
+// a fixed query set.
+struct UpdateGolden {
+  uint64_t alpha;
+  uint64_t reads, writes;
+  size_t rebuilds, height, extra;
+  uint64_t answers;
+};
+
+struct Fnv {
+  uint64_t h = 1469598103934665603ULL;
+  void add(uint64_t w) {
+    for (int b = 0; b < 8; ++b) {
+      h = (h ^ ((w >> (8 * b)) & 0xFF)) * 1099511628211ULL;
+    }
+  }
+  void add_answer(const std::vector<uint32_t>& ids) {
+    add(ids.size());
+    for (uint32_t id : sorted(ids)) add(id);
+  }
+};
+
+// Runs `ops` single updates against `t` drawn from `pool` in order: three in
+// four insert the next unused record, the rest erase a random live one (the
+// erase must succeed). Returns the live records.
+template <typename Tree, typename Rec>
+std::vector<Rec> run_updates(Tree& t, const std::vector<Rec>& pool, size_t ops,
+                             uint64_t seed) {
+  primitives::Rng rng(seed);
+  std::vector<Rec> alive;
+  size_t next = 0;
+  for (size_t op = 0; op < ops; ++op) {
+    if (rng.next_bounded(4) < 3 || alive.empty()) {
+      t.insert(pool[next]);
+      alive.push_back(pool[next++]);
+    } else {
+      size_t i = rng.next_bounded(alive.size());
+      EXPECT_TRUE(t.erase(alive[i]));
+      alive[i] = alive.back();
+      alive.pop_back();
+    }
+  }
+  return alive;
+}
+
+// Enough updates that the trees pass several whole-tree rebuilds above the
+// sequential cutoff (the parallel marking, filter and build paths run).
+constexpr size_t kUpdateOps = 8000;
+
+void expect_golden(const UpdateGolden& got, const UpdateGolden& want,
+                   const char* tree) {
+  SCOPED_TRACE(std::string(tree) + " alpha=" + std::to_string(want.alpha));
+  EXPECT_EQ(got.reads, want.reads);
+  EXPECT_EQ(got.writes, want.writes);
+  EXPECT_EQ(got.rebuilds, want.rebuilds);
+  EXPECT_EQ(got.height, want.height);
+  EXPECT_EQ(got.extra, want.extra);
+  EXPECT_EQ(got.answers, want.answers);
+}
+
+TEST(ParallelEquality, IntervalUpdatePathsMatchGolden) {
+  // Single inserts and erases, then a bulk_insert into the non-empty tree
+  // and a bulk_erase of half the live intervals (a whole-tree compaction).
+  // Captured from the tree's own α code before the three α-labeled trees
+  // shared one skeleton; equal at p=1/2/8.
+  const UpdateGolden kWant[] = {
+      {2, 1439156, 783411, 3681, 13, 12, 2844270123325244603u},
+      {8, 1294329, 561968, 3492, 13, 4, 5779050461974236794u},
+  };
+  for (const UpdateGolden& want : kWant) {
+    auto pool = fixed_intervals(kUpdateOps, 0x1A7E + want.alpha);
+    auto extra = testing::fixed_intervals(3000, 0xB01D, kUpdateOps);
+    DynamicIntervalTree t(want.alpha);
+    asym::Region region;
+    auto alive = run_updates(t, pool, kUpdateOps, 0x0B5 + want.alpha);
+    ASSERT_TRUE(t.bulk_insert(extra).ok());
+    alive.insert(alive.end(), extra.begin(), extra.end());
+    std::vector<Interval> gone, kept;
+    for (size_t i = 0; i < alive.size(); ++i) {
+      (i % 2 == 0 ? gone : kept).push_back(alive[i]);
+    }
+    auto erased = t.bulk_erase(gone);
+    ASSERT_TRUE(erased.ok());
+    EXPECT_EQ(erased.value(), gone.size());
+    auto c = region.delta();
+    ASSERT_TRUE(t.validate());
+    EXPECT_EQ(t.size(), kept.size());
+    Fnv f;
+    primitives::Rng rng(0x57AB);
+    for (int q = 0; q < 64; ++q) {
+      double x = rng.next_double();
+      auto got = t.stab(x);
+      EXPECT_EQ(sorted(got), sorted(brute_stab(kept, x)));
+      f.add_answer(got);
+    }
+    expect_golden({want.alpha, c.reads, c.writes, t.rebuilds(), t.height(),
+                   t.critical_on_path_max(), f.h},
+                  want, "interval");
+  }
+}
+
+TEST(ParallelEquality, RangeUpdatePathsMatchGolden) {
+  // Captured like the interval block above.
+  const UpdateGolden kWant[] = {
+      {2, 2087736, 1183075, 1931, 14, 41177, 8163965657013772196u},
+      {8, 872787, 450305, 1751, 16, 14380, 2950692907923485537u},
+  };
+  for (const UpdateGolden& want : kWant) {
+    auto pool = testing::random_ppoints(kUpdateOps, 0x2A7E + want.alpha);
+    AlphaRangeTree t(want.alpha);
+    asym::Region region;
+    auto alive = run_updates(t, pool, kUpdateOps, 0x1B5 + want.alpha);
+    auto c = region.delta();
+    ASSERT_TRUE(t.validate());
+    EXPECT_EQ(t.size(), alive.size());
+    Fnv f;
+    primitives::Rng rng(0x57AC);
+    for (int q = 0; q < 32; ++q) {
+      double xl = rng.next_double(), yb = rng.next_double();
+      double xr = xl + rng.next_double() * 0.2;
+      double yt = yb + rng.next_double() * 0.2;
+      auto got = t.query(xl, xr, yb, yt);
+      EXPECT_EQ(sorted(got), sorted(brute_range(alive, xl, xr, yb, yt)));
+      f.add_answer(got);
+    }
+    expect_golden({want.alpha, c.reads, c.writes, t.rebuilds(), t.height(),
+                   t.inner_entries(), f.h},
+                  want, "range");
+  }
+}
+
+TEST(ParallelEquality, PriorityUpdatePathsMatchGolden) {
+  // Captured once subtree rebuilds kept dead points, before the shared
+  // skeleton. Rebuilds that dropped them left the ancestors' weights high,
+  // so doublings fired early: 793202/314079 reads/writes and 2113 rebuilds
+  // at α=2, 626069/232602 and 1699 at α=8, with the same answers.
+  const UpdateGolden kWant[] = {
+      {2, 858894, 337269, 2100, 15, 0, 644807457434223178u},
+      {8, 670616, 246612, 1687, 17, 0, 2461409611222178998u},
+  };
+  for (const UpdateGolden& want : kWant) {
+    auto pool = testing::random_ppoints(kUpdateOps, 0x3A7E + want.alpha);
+    DynamicPriorityTree t(want.alpha);
+    asym::Region region;
+    auto alive = run_updates(t, pool, kUpdateOps, 0x2B5 + want.alpha);
+    auto c = region.delta();
+    ASSERT_TRUE(t.validate());
+    EXPECT_EQ(t.size(), alive.size());
+    Fnv f;
+    primitives::Rng rng(0x57AD);
+    for (int q = 0; q < 32; ++q) {
+      double xl = rng.next_double(), yb = 1.0 - rng.next_double() * 0.3;
+      double xr = xl + rng.next_double() * 0.2;
+      auto got = t.query(xl, xr, yb);
+      EXPECT_EQ(sorted(got), sorted(brute_3sided(alive, xl, xr, yb)));
+      f.add_answer(got);
+    }
+    expect_golden({want.alpha, c.reads, c.writes, t.rebuilds(), t.height(), 0,
+                   f.h},
+                  want, "priority");
   }
 }
 
