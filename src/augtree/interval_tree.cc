@@ -288,130 +288,172 @@ StaticIntervalTree StaticIntervalTree::build_classic(
 
 namespace {
 
-// Reporting visitor: scans each run with early exit, one read per scanned
-// entry and one output write per reported id (via emit).
-template <typename Emit>
-struct StaticStabReport {
-  const std::vector<std::pair<double, uint32_t>>& by_left;
-  const std::vector<std::pair<double, uint32_t>>& by_right;
-  double q;
-  Emit emit;
+using CsrEntry = std::pair<double, uint32_t>;
 
-  void left_run(size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      asym::count_read();
-      if (by_left[i].first > q) break;
-      emit(by_left[i].second);
-    }
+// Reporting visitor: scans each run with early exit, one read per scanned
+// entry and one output write per reported id, written through `out` (a
+// pointer into a batch slice, or a back inserter).
+template <typename Out>
+struct StaticStabReport {
+  const CsrEntry* by_left = nullptr;
+  const CsrEntry* by_right = nullptr;
+  double q = 0;
+  Out out{};
+
+  // Reads: every entry up to and including the one that stops the scan.
+  static void tally_scan(core::Tally& t, size_t lo, size_t hi, size_t stop) {
+    t.reads += stop < hi ? stop - lo + 1 : hi - lo;
+    t.writes += stop - lo;
   }
-  void right_run(size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      asym::count_read();
-      if (by_right[i].first < q) break;
-      emit(by_right[i].second);
-    }
+  void left_run(size_t lo, size_t hi, core::Tally& t) {
+    size_t i = lo;
+    for (; i < hi && !(by_left[i].first > q); ++i) *out++ = by_left[i].second;
+    tally_scan(t, lo, hi, i);
   }
-  void all_run(size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      asym::count_read();
-      emit(by_left[i].second);
+  void right_run(size_t lo, size_t hi, core::Tally& t) {
+    size_t i = lo;
+    for (; i < hi && !(by_right[i].first < q); ++i) {
+      *out++ = by_right[i].second;
     }
+    tally_scan(t, lo, hi, i);
+  }
+  void all_run(size_t lo, size_t hi, core::Tally& t) {
+    for (size_t i = lo; i < hi; ++i) *out++ = by_left[i].second;
+    t.reads += hi - lo;
+    t.writes += hi - lo;
   }
 };
 
 // Counting visitor (Appendix A): binary search in each visited node's sorted
 // run — O(log^2 n + duplicate fringe) reads, zero writes.
 struct StaticStabCount {
-  const std::vector<std::pair<double, uint32_t>>& by_left;
-  const std::vector<std::pair<double, uint32_t>>& by_right;
-  double q;
+  const CsrEntry* by_left = nullptr;
+  const CsrEntry* by_right = nullptr;
+  double q = 0;
   size_t total = 0;
 
-  void left_run(size_t lo, size_t hi) {
-    auto it = std::upper_bound(by_left.begin() + lo, by_left.begin() + hi,
-                               std::make_pair(q, UINT32_MAX));
-    asym::count_read(static_cast<uint64_t>(std::bit_width(hi - lo + 1)));
-    total += static_cast<size_t>(it - (by_left.begin() + lo));
+  void left_run(size_t lo, size_t hi, core::Tally& t) {
+    const CsrEntry* it = std::upper_bound(by_left + lo, by_left + hi,
+                                          std::make_pair(q, UINT32_MAX));
+    t.reads += static_cast<uint64_t>(std::bit_width(hi - lo + 1));
+    total += static_cast<size_t>(it - (by_left + lo));
   }
-  void right_run(size_t lo, size_t hi) {
+  void right_run(size_t lo, size_t hi, core::Tally& t) {
     // by_right is sorted descending by r.
-    auto it = std::lower_bound(by_right.begin() + lo, by_right.begin() + hi, q,
-                               [](const std::pair<double, uint32_t>& e,
-                                  double v) { return e.first >= v; });
-    asym::count_read(static_cast<uint64_t>(std::bit_width(hi - lo + 1)));
-    total += static_cast<size_t>(it - (by_right.begin() + lo));
+    const CsrEntry* it = std::lower_bound(
+        by_right + lo, by_right + hi, q,
+        [](const CsrEntry& e, double v) { return e.first >= v; });
+    t.reads += static_cast<uint64_t>(std::bit_width(hi - lo + 1));
+    total += static_cast<size_t>(it - (by_right + lo));
   }
-  void all_run(size_t lo, size_t hi) { total += hi - lo; }
+  void all_run(size_t lo, size_t hi, core::Tally&) { total += hi - lo; }
 };
 
 }  // namespace
 
 template <typename V>
-void StaticIntervalTree::stab_visit(double q, V&& vis) const {
-  // A NaN stab point is inside no interval; every comparison below would be
-  // false, which the forking walk would misread as an exact key match.
-  if (n_ == 0 || std::isnan(q)) return;
-  // Walk by key comparison; on an exact key match the walk forks into both
-  // subtrees (duplicate endpoint values can place storage nodes on either
-  // side). The fork is output-sensitive: every node whose key equals q is an
-  // endpoint of a *reported* interval, so visits stay O(log n + k).
-  auto walk = [&](auto&& self, size_t pos) -> void {
-    asym::count_read();
+void StaticIntervalTree::stab_lanes(V* vis, size_t m, size_t start,
+                                    core::Tally& t) const {
+  if (n_ == 0) return;
+  size_t at[kStabLanes];
+  for (size_t l = 0; l < m; ++l) at[l] = start;
+  core::walk_lanes<kStabLanes>(m, [&](size_t l) {
+    V& v = vis[l];
+    size_t pos = at[l];
     double key = keys_[pos - 1];
     int lvl = level_of(pos);
     size_t step = lvl > 0 ? (size_t{1} << (lvl - 1)) : 0;
-    if (q < key) {
-      vis.left_run(node_left_off_[pos - 1], node_left_off_[pos]);
-      if (lvl > 0) self(self, pos - step);
-    } else if (q > key) {
-      vis.right_run(node_right_off_[pos - 1], node_right_off_[pos]);
-      if (lvl > 0) self(self, pos + step);
-    } else {  // q == key: everything stored here contains q; fork
-      vis.all_run(node_left_off_[pos - 1], node_left_off_[pos]);
+    if (v.q < key) {
+      t.reads += 1;
+      v.left_run(node_left_off_[pos - 1], node_left_off_[pos], t);
+      pos -= step;
+    } else if (v.q > key) {
+      t.reads += 1;
+      v.right_run(node_right_off_[pos - 1], node_right_off_[pos], t);
+      pos += step;
+    } else {
+      // A NaN stab point is inside no interval: every comparison is false,
+      // which must not be read as an exact key match.
+      if (v.q != key) return false;
+      // q == key: everything stored here contains q, and duplicate endpoint
+      // values can place storage nodes on either side, so the lane forks
+      // into both subtrees, left first, as one-lane walks. The fork is
+      // output-sensitive: every node whose key equals q is an endpoint of a
+      // *reported* interval, so visits stay O(log n + k).
+      t.reads += 1;
+      v.all_run(node_left_off_[pos - 1], node_left_off_[pos], t);
       if (lvl > 0) {
-        self(self, pos - step);
-        self(self, pos + step);
+        stab_lanes(&v, 1, pos - step, t);
+        stab_lanes(&v, 1, pos + step, t);
       }
+      return false;
     }
-  };
-  walk(walk, root_pos());
+    if (lvl == 0) return false;
+    at[l] = pos;
+    __builtin_prefetch(&keys_[pos - 1]);
+    __builtin_prefetch(&node_left_off_[pos - 1]);
+    __builtin_prefetch(&node_right_off_[pos - 1]);
+    return true;
+  });
 }
 
 std::vector<uint32_t> StaticIntervalTree::stab(double q) const {
   std::vector<uint32_t> out;
-  auto emit = [&](uint32_t id) {
-    asym::count_write();
-    out.push_back(id);
-  };
-  StaticStabReport<decltype(emit)> vis{by_left_, by_right_, q, emit};
-  stab_visit(q, vis);
+  StaticStabReport<std::back_insert_iterator<std::vector<uint32_t>>> vis{
+      by_left_.data(), by_right_.data(), q, std::back_inserter(out)};
+  core::Tally t;
+  stab_lanes(&vis, 1, root_pos(), t);
+  t.charge();
   return out;
 }
 
 size_t StaticIntervalTree::stab_count(double q) const {
-  StaticStabCount vis{by_left_, by_right_, q};
-  stab_visit(q, vis);
+  StaticStabCount vis{by_left_.data(), by_right_.data(), q};
+  core::Tally t;
+  stab_lanes(&vis, 1, root_pos(), t);
+  t.charge();
   return vis.total;
+}
+
+// The batch variants walk fixed blocks of kStabLanes probes: count_block
+// sets counts[i] for every probe i of [lo, hi), in one lane walk.
+void StaticIntervalTree::count_block(const std::vector<double>& qs, size_t lo,
+                                     size_t hi, size_t* counts) const {
+  StaticStabCount vis[kStabLanes];
+  for (size_t i = lo; i < hi; ++i) {
+    vis[i - lo] = {by_left_.data(), by_right_.data(), qs[i]};
+  }
+  core::Tally t;
+  stab_lanes(vis, hi - lo, root_pos(), t);
+  t.charge();
+  for (size_t i = lo; i < hi; ++i) counts[i] = vis[i - lo].total;
 }
 
 parallel::BatchResult<uint32_t> StaticIntervalTree::stab_batch(
     const std::vector<double>& qs) const {
-  return parallel::batch_two_phase<uint32_t>(
-      qs.size(), [&](size_t i) { return stab_count(qs[i]); },
-      [&](size_t i, uint32_t* out) {
-        auto emit = [&](uint32_t id) {
-          asym::count_write();
-          *out++ = id;
-        };
-        StaticStabReport<decltype(emit)> vis{by_left_, by_right_, qs[i], emit};
-        stab_visit(qs[i], vis);
+  return parallel::batch_two_phase_blocks<uint32_t, kStabLanes>(
+      qs.size(),
+      [&](size_t lo, size_t hi, size_t* sizes) {
+        count_block(qs, lo, hi, sizes);
+      },
+      [&](size_t lo, size_t hi, uint32_t* items, const size_t* offsets) {
+        StaticStabReport<uint32_t*> vis[kStabLanes];
+        for (size_t i = lo; i < hi; ++i) {
+          vis[i - lo] = {by_left_.data(), by_right_.data(), qs[i],
+                         items + offsets[i]};
+        }
+        core::Tally t;
+        stab_lanes(vis, hi - lo, root_pos(), t);
+        t.charge();
       });
 }
 
 std::vector<size_t> StaticIntervalTree::stab_count_batch(
     const std::vector<double>& qs) const {
-  return parallel::batch_map<size_t>(
-      qs.size(), [&](size_t i) { return stab_count(qs[i]); });
+  return parallel::batch_map_blocks<size_t, kStabLanes>(
+      qs.size(), [&](size_t lo, size_t hi, size_t* out) {
+        count_block(qs, lo, hi, out);
+      });
 }
 
 bool StaticIntervalTree::validate(const std::vector<Interval>& ivs) const {
@@ -488,9 +530,12 @@ std::vector<Interval> DynamicIntervalTree::live_records() const {
 void DynamicIntervalTree::collect_intervals(uint32_t v,
                                             std::vector<Entry>& keys,
                                             std::vector<Interval>& ivs) const {
+  // Each stored id is looked up in ivs_, a large-memory table: one read.
   collect(v, keys, [&](const Node& nd) {
-    nd.by_l.for_each(
-        [&](double, uint32_t id) { ivs.push_back(ivs_.at(id)); });
+    nd.by_l.for_each([&](double, uint32_t id) {
+      asym::count_read();
+      ivs.push_back(ivs_.at(id));
+    });
   });
 }
 
@@ -692,6 +737,7 @@ void DynamicIntervalTree::maybe_compact() {
 }
 
 bool DynamicIntervalTree::erase_one(const Interval& iv) {
+  asym::count_read();  // the ivs_ lookup
   auto it = ivs_.find(iv.id);
   if (it == ivs_.end() || !(it->second == iv)) return false;
   uint32_t v = find_storage(root_, iv.l, iv.r);

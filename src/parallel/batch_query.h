@@ -17,6 +17,7 @@
 // standard count/report pairing every traversal visitor provides).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -33,7 +34,10 @@ namespace weg::parallel {
 // Because a slice is addressed purely by offset arithmetic, results compose:
 // the sharded layer merges per-shard BatchResults (planner-routed
 // sub-batches) by summing per-query counts, re-scanning, and concatenating
-// slices — without this class knowing about shards.
+// slices — without this class knowing about shards. The items live in a
+// primitives::UninitVector: every producer writes each slot of the array it
+// allocates, so allocation is not a serial zero fill ahead of the parallel
+// pass that writes the slots.
 //
 // Error propagation: a result carries a Status (OK by default). A producer
 // that fails mid-pipeline — a poisoned per-shard sub-batch under fault
@@ -48,7 +52,7 @@ class BatchResult {
   using value_type = T;
 
   BatchResult() = default;
-  BatchResult(std::vector<T> items, std::vector<size_t> offsets)
+  BatchResult(primitives::UninitVector<T> items, std::vector<size_t> offsets)
       : items_(std::move(items)), offsets_(std::move(offsets)) {}
   // A poisoned (empty) result carrying `status`.
   explicit BatchResult(Status status) : status_(std::move(status)) {}
@@ -75,46 +79,87 @@ class BatchResult {
     return std::vector<T>(begin(q), end(q));
   }
 
-  const std::vector<T>& items() const { return items_; }
+  const primitives::UninitVector<T>& items() const { return items_; }
   const std::vector<size_t>& offsets() const { return offsets_; }
 
  private:
   Status status_;  // OK unless the producer poisoned this result
-  std::vector<T> items_;
+  primitives::UninitVector<T> items_;
   std::vector<size_t> offsets_;  // size Q + 1
 };
 
-// The two-phase plan. Count and Report are invoked once per query, from
-// worker threads (grain 1: one steallable task per query — queries are far
-// heavier than the tens-of-ns fork cost). The sizes array is bookkeeping
-// traffic charged in bulk, like the primitives.
-template <typename T, typename Count, typename Report>
-BatchResult<T> batch_two_phase(size_t num_queries, Count&& count,
-                               Report&& report) {
-  std::vector<size_t> offsets(num_queries + 1, 0);
+// Runs body(lo, hi) over the fixed blocks of `Block` consecutive queries of
+// [0, num_queries), one steallable task per block (grain 1: a block of
+// queries is far heavier than the tens-of-ns fork cost).
+template <size_t Block, typename Body>
+void for_each_block(size_t num_queries, Body&& body) {
+  static_assert(Block > 0);
   parallel_for(
-      0, num_queries, [&](size_t q) { offsets[q] = count(q); }, 1);
+      0, (num_queries + Block - 1) / Block,
+      [&](size_t b) {
+        size_t lo = b * Block;
+        body(lo, std::min(num_queries, lo + Block));
+      },
+      1);
+}
+
+// The two-phase plan over blocks of `Block` queries, for traversals that
+// walk a block together (src/core/lane_walk.h):
+//   count(lo, hi, sizes)           sets sizes[q] for every q in [lo, hi),
+//   report(lo, hi, items, offsets) writes query q's items at
+//                                  items + offsets[q] for every q in [lo, hi).
+// The sizes array is bookkeeping traffic charged in bulk, like the
+// primitives. The item array is allocated without a fill: the report pass
+// writes every slot, so it is each page's first touch.
+template <typename T, size_t Block, typename CountBlock, typename ReportBlock>
+BatchResult<T> batch_two_phase_blocks(size_t num_queries, CountBlock&& count,
+                                      ReportBlock&& report) {
+  std::vector<size_t> offsets(num_queries + 1, 0);
+  for_each_block<Block>(num_queries, [&](size_t lo, size_t hi) {
+    count(lo, hi, offsets.data());
+  });
   asym::count_write(num_queries);
   // Exclusive scan turns sizes into slice offsets; the trailing zero slot
   // receives the grand total.
   primitives::scan_exclusive(offsets);
-  std::vector<T> items(offsets[num_queries]);
-  parallel_for(
-      0, num_queries, [&](size_t q) { report(q, items.data() + offsets[q]); },
-      1);
+  primitives::UninitVector<T> items(offsets[num_queries]);
+  for_each_block<Block>(num_queries, [&](size_t lo, size_t hi) {
+    report(lo, hi, items.data(), offsets.data());
+  });
   return BatchResult<T>(std::move(items), std::move(offsets));
+}
+
+// The two-phase plan one query at a time: count(q) and report(q, out) are
+// invoked once per query, from worker threads.
+template <typename T, typename Count, typename Report>
+BatchResult<T> batch_two_phase(size_t num_queries, Count&& count,
+                               Report&& report) {
+  return batch_two_phase_blocks<T, 1>(
+      num_queries,
+      [&](size_t q, size_t, size_t* sizes) { sizes[q] = count(q); },
+      [&](size_t q, size_t, T* items, const size_t* offsets) {
+        report(q, items + offsets[q]);
+      });
 }
 
 // Fixed-size-output batches (counting queries, k-NN with known k, ANN): one
 // output slot per query, no scan needed. Still deterministic: slot q is
-// written by query q alone.
-template <typename T, typename F>
-std::vector<T> batch_map(size_t num_queries, F&& f) {
+// written by query q alone. The blocked form hands f(lo, hi, out) a block
+// of `Block` consecutive queries, which sets out[q] for each q in [lo, hi).
+template <typename T, size_t Block, typename F>
+std::vector<T> batch_map_blocks(size_t num_queries, F&& f) {
   std::vector<T> out(num_queries);
-  parallel_for(
-      0, num_queries, [&](size_t q) { out[q] = f(q); }, 1);
+  for_each_block<Block>(num_queries, [&](size_t lo, size_t hi) {
+    f(lo, hi, out.data());
+  });
   asym::count_write(num_queries);
   return out;
+}
+
+template <typename T, typename F>
+std::vector<T> batch_map(size_t num_queries, F&& f) {
+  return batch_map_blocks<T, 1>(
+      num_queries, [&](size_t q, size_t, T* out) { out[q] = f(q); });
 }
 
 }  // namespace weg::parallel

@@ -669,7 +669,7 @@ class Sharded {
     asym::count_read(rounds.visits());
     asym::count_write(nq);
     primitives::scan_exclusive(offsets);
-    std::vector<T> items(offsets[nq]);
+    primitives::UninitVector<T> items(offsets[nq]);
     parallel_for(
         0, nq,
         [&](size_t q) {
@@ -1082,7 +1082,7 @@ class Sharded {
     asym::count_read(plan.visits);
     asym::count_write(nq);
     primitives::scan_exclusive(offsets);
-    std::vector<T> items(offsets[nq]);
+    primitives::UninitVector<T> items(offsets[nq]);
     parallel_for(
         0, nq,
         [&](size_t q) {

@@ -9,6 +9,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "src/core/lane_walk.h"
 #include "src/core/prefix_doubling.h"
 #include "src/parallel/parallel_for.h"
 #include "src/primitives/random.h"
@@ -210,51 +211,44 @@ struct Tree {
   }
 
   // Step 1 of a write-efficient round (DAG tracing), for the at most kLanes
-  // elements [lo, hi): walks them down the tree together, one level per
-  // pass over the lanes, prefetching each lane's next node, and writes one
-  // Traced record per element to `out`. Each lane is charged exactly what a
-  // lone search pays — count_read(2) per level (node key and frozen bit,
-  // child slot) and one write for its record — tallied here and charged
-  // once per block. The tree is not modified while tracing runs, so lanes
-  // do not interact.
+  // elements [lo, hi): walks them down the tree together on the shared lane
+  // kernel (src/core/lane_walk.h), one level per pass over the lanes,
+  // prefetching each lane's next node, and writes one Traced record per
+  // element to `out`. Each lane is charged exactly what a lone search pays
+  // — count_read(2) per level (node key and frozen bit, child slot) and one
+  // write for its record — tallied here and charged once per block. The
+  // tree is not modified while tracing runs, so lanes do not interact.
   void trace_block(size_t lo, size_t hi, Traced* out) const {
     uint32_t at[kLanes];
     uint64_t key[kLanes];
-    uint8_t active[kLanes];
-    size_t m = hi - lo, live = m;
+    size_t m = hi - lo;
     uint32_t r = root.load(std::memory_order_relaxed);
     assert(r != kEmpty);
     for (size_t l = 0; l < m; ++l) {
       at[l] = r;
       key[l] = nodes[lo + l].key;
-      active[l] = static_cast<uint8_t>(l);
     }
-    uint64_t reads = 0;
-    while (live > 0) {
-      size_t kept = 0;
-      for (size_t j = 0; j < live; ++j) {
-        size_t l = active[j];
-        uint32_t e = static_cast<uint32_t>(lo + l), w = at[l];
-        const Node& nd = nodes[w];
-        reads += 2;
-        if (nd.frozen.load(std::memory_order_relaxed)) {
-          out[l] = Traced{kPostponed, e};
-          continue;
-        }
-        int side = precedes(key[l], e, nd.key, w) ? 0 : 1;
-        uint32_t c = nd.child[side].load(std::memory_order_relaxed);
-        if (c == kEmpty) {
-          out[l] = Traced{pack_slot(w, side), e};
-          continue;
-        }
-        __builtin_prefetch(&nodes[c]);
-        at[l] = c;
-        active[kept++] = static_cast<uint8_t>(l);
+    core::Tally tally;
+    core::walk_lanes<kLanes>(m, [&](size_t l) {
+      uint32_t e = static_cast<uint32_t>(lo + l), w = at[l];
+      const Node& nd = nodes[w];
+      tally.reads += 2;
+      if (nd.frozen.load(std::memory_order_relaxed)) {
+        out[l] = Traced{kPostponed, e};
+        return false;
       }
-      live = kept;
-    }
-    asym::count_read(reads);
-    asym::count_write(m);  // one (bucket, element) record per lane
+      int side = precedes(key[l], e, nd.key, w) ? 0 : 1;
+      uint32_t c = nd.child[side].load(std::memory_order_relaxed);
+      if (c == kEmpty) {
+        out[l] = Traced{pack_slot(w, side), e};
+        return false;
+      }
+      __builtin_prefetch(&nodes[c]);
+      at[l] = c;
+      return true;
+    });
+    tally.writes += m;  // one (bucket, element) record per lane
+    tally.charge();
   }
 };
 

@@ -183,7 +183,9 @@ TEST(ParallelEquality, BulkBuildCountsMatchSerialGolden) {
   // endpoints through write-efficient incremental-sort rounds, whose large
   // rounds now take the sampled heavy/light plan (sample read pass + grouped
   // bucket writes). Verified bitwise-identical at p=1 and p=8 before pinning.
-  EXPECT_EQ(c.reads, 2656220u);
+  // +20000 reads since the rebuild's ivs_ lookups are charged (one per
+  // interval the final whole-tree rebuild reassigns).
+  EXPECT_EQ(c.reads, 2676220u);
   EXPECT_EQ(c.writes, 810881u);
 
   // Same guard for the α range tree, whose build_balanced also keeps a
@@ -286,10 +288,12 @@ TEST(ParallelEquality, IntervalUpdatePathsMatchGolden) {
   // Single inserts and erases, then a bulk_insert into the non-empty tree
   // and a bulk_erase of half the live intervals (a whole-tree compaction).
   // Captured from the tree's own α code before the three α-labeled trees
-  // shared one skeleton; equal at p=1/2/8.
+  // shared one skeleton; equal at p=1/2/8. Reads recaptured once when the
+  // ivs_ lookups of rebuilds and erases became counted reads (+41184 at
+  // α=2, +31775 at α=8; nothing else moved).
   const UpdateGolden kWant[] = {
-      {2, 1439156, 783411, 3681, 13, 12, 2844270123325244603u},
-      {8, 1294329, 561968, 3492, 13, 4, 5779050461974236794u},
+      {2, 1480340, 783411, 3681, 13, 12, 2844270123325244603u},
+      {8, 1326104, 561968, 3492, 13, 4, 5779050461974236794u},
   };
   for (const UpdateGolden& want : kWant) {
     auto pool = fixed_intervals(kUpdateOps, 0x1A7E + want.alpha);

@@ -69,7 +69,7 @@ template <typename Item>
 struct Snapshot {
   uint64_t version;
   size_t size;
-  std::vector<Item> items;
+  primitives::UninitVector<Item> items;
   std::vector<size_t> offsets;
   std::vector<size_t> counts;
 };

@@ -254,6 +254,75 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
+// The stabbing walk runs probes in lanes of 8 (a lane whose probe equals a
+// stored key finishes with the fork step). Batches of every block shape —
+// empty, one, a partial block, a full one, one past, and 1023 — must return
+// per probe exactly the serial stab(q), in order, and the serial count; and
+// they must charge exactly the summed serial charges plus the batch
+// bookkeeping (the sizes array and its scan). Probes mix random points,
+// stored endpoints (which fork) and NaN, on the duplicate-endpoint input, a
+// random one and an empty tree; the suite's p=1/2/8 reruns vary the workers.
+// An FNV-1a fingerprint of every batch's items, in order, pins the order
+// itself; it was captured from the one-probe recursive walk the lanes
+// replaced.
+TEST(StaticIT, LaneWalkBatchesMatchSerialStabs) {
+  uint64_t order = 1469598103934665603ULL;
+  std::vector<std::vector<Interval>> inputs = {
+      clustered_endpoints(12000, 0xC1A5),
+      testing::fixed_intervals(5000, 0x1A4E), {}};
+  for (const auto& ivs : inputs) {
+    SCOPED_TRACE("n = " + std::to_string(ivs.size()));
+    auto t = StaticIntervalTree::build_postsorted(ivs);
+    primitives::Rng rng(0x1A4E + ivs.size());
+    size_t forks = 0;
+    for (size_t nq : {0, 1, 7, 8, 9, 1023}) {
+      SCOPED_TRACE("batch of " + std::to_string(nq));
+      std::vector<double> qs(nq);
+      for (size_t i = 0; i < nq; ++i) {
+        qs[i] = rng.next_double();
+        if (i % 4 == 3) qs[i] = std::nan("");
+        if (i % 4 != 0 || ivs.empty()) continue;
+        const Interval& iv = ivs[rng.next_bounded(ivs.size())];
+        qs[i] = i % 8 == 0 ? iv.l : iv.r;
+      }
+      std::vector<std::vector<uint32_t>> want(nq);
+      std::vector<size_t> want_count(nq);
+      asym::Counts report{}, count{};
+      for (size_t i = 0; i < nq; ++i) {
+        asym::Region r;
+        want[i] = t.stab(qs[i]);
+        report = report + r.delta();
+        asym::Region c;
+        want_count[i] = t.stab_count(qs[i]);
+        count = count + c.delta();
+        EXPECT_EQ(want[i].size(), brute_stab(ivs, qs[i]));
+        EXPECT_EQ(want_count[i], want[i].size());
+        for (const Interval& iv : ivs) forks += iv.l == qs[i] ? 1 : 0;
+      }
+      asym::Region rb;
+      auto b = t.stab_batch(qs);
+      asym::Counts cb = rb.delta();
+      ASSERT_EQ(b.num_queries(), nq);
+      for (size_t i = 0; i < nq; ++i) {
+        EXPECT_EQ(b.result(i), want[i]) << "probe " << i;
+      }
+      for (uint32_t id : b.items()) order = (order ^ id) * 1099511628211ULL;
+      EXPECT_EQ(cb.reads, count.reads + report.reads + (nq + 1));
+      EXPECT_EQ(cb.writes, report.writes + nq + (nq + 1));
+
+      asym::Region rc;
+      EXPECT_EQ(t.stab_count_batch(qs), want_count);
+      asym::Counts cc = rc.delta();
+      EXPECT_EQ(cc.reads, count.reads);
+      EXPECT_EQ(cc.writes, nq);
+    }
+    if (!ivs.empty()) {
+      EXPECT_GT(forks, 0u);
+    }
+  }
+  EXPECT_EQ(order, 0xfc51b6b76301d1caULL);
+}
+
 class DynamicIT : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DynamicIT, MixedWorkloadMatchesBrute) {

@@ -409,7 +409,7 @@ TEST(ShardedEquality, ForestRandomEpochsMatchOracle) {
             [&](const Point2& p) { return boxes[i].contains(p); }));
         EXPECT_EQ(counts[i], want) << "box " << i;
       }
-      std::vector<Point2> want_knn;
+      primitives::UninitVector<Point2> want_knn;
       for (const Point2& q : near) {
         std::vector<std::pair<double, Point2>> by_dist;
         for (const Point2& p : live) {
@@ -530,7 +530,9 @@ TEST(ShardedEquality, BulkOpsAndShardedBatchGoldenCounts) {
     // the write-efficient sort, whose large rounds now take the heavy/light
     // plan): +42226 reads are the separately charged sample fetches and
     // grouping sweeps, +28731 writes the now-charged local bucket sorts.
-    EXPECT_EQ(c.reads, 2932197u);
+    // +25000 reads since ivs_ lookups are charged: 20000 from the final
+    // whole-tree rebuild, one per erase.
+    EXPECT_EQ(c.reads, 2957197u);
     EXPECT_EQ(c.writes, 839650u);
   }
 
