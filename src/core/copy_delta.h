@@ -3,12 +3,12 @@
 //
 // The sharded commit prepares every shard before it applies any, so a
 // structure's prepare must leave it untouched. LogForest plans natively in
-// O(batch) (src/kdtree/dynamic.h). DynamicKdTree and DynamicIntervalTree
-// mutate leaf buffers and treap pools in place, so their prepare copies the
-// structure — one bulk read + write per live record — and runs its own
-// bulk_insert then bulk_erase on the copy; their apply swaps the copy in and
-// leaves the old structure in the spent delta, so its storage is freed
-// wherever the caller drops the delta, not inside apply.
+// O(batch) (src/kdtree/dynamic.h). DynamicIntervalTree's bulk ops mutate
+// its treap pools in place, so its prepare copies the tree — one bulk read
+// + write per live record — and runs its own bulk_insert then bulk_erase
+// on the copy; its apply swaps the copy in and leaves the old tree in the
+// spent delta, so its storage is freed wherever the caller drops the
+// delta, not inside apply.
 #pragma once
 
 #include <cstddef>

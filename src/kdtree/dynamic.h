@@ -35,7 +35,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/core/copy_delta.h"
 #include "src/core/status.h"
 #include "src/kdtree/kdtree.h"
 #include "src/kdtree/pbatched.h"
@@ -288,17 +287,6 @@ class DynamicKdTree : public KdQueries<DynamicKdTree<K>, K> {
   // the same single restructuring pass. Returns the number erased; a
   // non-finite record is rejected pre-mutation.
   Expected<size_t> bulk_erase(const std::vector<Point>& pts);
-  // Two-phase bulk update, by copy (src/core/copy_delta.h): the bulk ops
-  // write leaf buffers and the node pool in place, so prepare copies the
-  // tree (one read + one write per live point) and runs bulk_insert then
-  // bulk_erase on the copy; apply moves the copy in. A native O(batch)
-  // prepare waits on a flat arena layout (ROADMAP).
-  using Delta = CopyDelta<DynamicKdTree>;
-  Expected<Delta> prepare(const std::vector<Point>& ins,
-                          const std::vector<Point>& ers) const {
-    return prepare_by_copy(*this, ins, ers);
-  }
-  size_t apply(Delta&& d) noexcept { return apply_copy(*this, std::move(d)); }
 
   size_t range_count(const Box& query, const QueryOptions& opts = {}) const;
   std::vector<Point> range_report(const Box& query,

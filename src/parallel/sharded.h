@@ -65,14 +65,14 @@
 // (finite coordinates, l <= r, no duplicate ids within an epoch); then
 // every shard with work prepares: Structure::prepare(ins, ers) runs every
 // check and allocation of the shard's insert-then-erase without touching
-// the shard. LogForest plans in O(batch); the k-d and interval trees still
-// plan on a copy of the shard (src/core/copy_delta.h). Any failure
-// (validation, a structure-level error such as an id already live, an
-// injected fault, or std::bad_alloc in prepare) drops the plan and leaves
-// the layer untouched; the staged buffers are kept so a caller can repair
-// and retry, or drop them with discard_staged(). Publishing applies every
-// plan; apply moves and flips bytes and cannot fail. bulk_insert /
-// bulk_erase prepare and publish the same way, without a rebalance.
+// the shard. LogForest plans in O(batch); the interval tree still plans on
+// a copy of the shard (src/core/copy_delta.h). Any failure (validation, a
+// structure-level error such as an id already live, an injected fault, or
+// std::bad_alloc in prepare) drops the plan and leaves the layer
+// untouched; the staged buffers are kept so a caller can repair and retry,
+// or drop them with discard_staged(). Publishing applies every plan; apply
+// moves and flips bytes and cannot fail. bulk_insert / bulk_erase prepare
+// and publish the same way, without a rebalance.
 #pragma once
 
 #include <algorithm>
@@ -166,10 +166,8 @@ struct ShardTraits<augtree::DynamicIntervalTree> {
   }
 };
 
-namespace detail {
-
 template <int K>
-struct PointRouteTraits {
+struct ShardTraits<kdtree::LogForest<K>> {
   using Record = geom::PointK<K>;
   // The fixed split dimension range partitioning orders points by.
   static constexpr int kSplitDim = 0;
@@ -187,7 +185,12 @@ struct PointRouteTraits {
   static constexpr int kCoverDims = K;
   static double cover_lo(const Record& p, int d) { return p[d]; }
   static double cover_hi(const Record& p, int d) { return p[d]; }
+  static std::vector<Record> extract(const kdtree::LogForest<K>& t) {
+    return t.live_points();
+  }
 };
+
+namespace detail {
 
 // Canonical slice orders for the merge.
 struct IdLess {
@@ -201,20 +204,6 @@ struct CoordLess {
 };
 
 }  // namespace detail
-
-template <int K>
-struct ShardTraits<kdtree::LogForest<K>> : detail::PointRouteTraits<K> {
-  static std::vector<geom::PointK<K>> extract(const kdtree::LogForest<K>& t) {
-    return t.live_points();
-  }
-};
-template <int K>
-struct ShardTraits<kdtree::DynamicKdTree<K>> : detail::PointRouteTraits<K> {
-  static std::vector<geom::PointK<K>> extract(
-      const kdtree::DynamicKdTree<K>& t) {
-    return t.live_points();
-  }
-};
 
 template <typename Structure>
 class Sharded;

@@ -18,7 +18,8 @@
 // max_batch; an epoch is handed off as soon as the committer is idle, and
 // updates accumulate only while an epoch is in flight. A positive
 // max_delay_us is an opt-in hold that waits for the oldest request to age
-// that long, trading latency for larger batches.
+// that long, trading latency for larger batches. One pure function,
+// next_flush, is the whole flush rule (size, deadline and drain triggers).
 //
 // One replica, prepared epochs: the engine serves from a single Sharded.
 // The committer prepares epoch N+1 against it with Sharded::prepare_epoch,
@@ -45,12 +46,13 @@
 // logical (injected) clock, single-threaded on the caller — admission
 // decisions, batch boundaries, versions, and query results are a pure
 // function of (trace, config), bitwise-identical at every WEG_NUM_THREADS.
-// It runs the same query-batch executor and the same screen, prepare and
-// publish steps inline, in zero logical time, so under the default policy
-// every request flushes at its own admission time. Live mode
-// (start()/submit_*) differs only in the clock — wall-clock arrivals and
-// deadlines then affect batching boundaries, never results — and in where
-// completions go.
+// It is the live machinery on another clock: the same request records
+// (completing into outcome slots instead of promises), the same flush rule,
+// and the same commit hand-shake (hand_off, commit_step, publish_prepared),
+// stepped inline in zero logical time, so under the default policy every
+// request flushes at its own admission time. Live mode (start()/submit_*)
+// differs only in the clock — wall-clock arrivals and deadlines then affect
+// batching boundaries, never results — and in where completions go.
 #pragma once
 
 #include <algorithm>
@@ -67,8 +69,10 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <unordered_set>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "src/core/status.h"
@@ -250,8 +254,7 @@ class Engine {
       std::vector<Req> left;
       q.drain_into(left, ~size_t{0});
       for (auto& r : left) {
-        r.done.set_value(Status::FailedPrecondition("serving engine stopped"));
-        requests_failed_.fetch_add(1, std::memory_order_relaxed);
+        complete(r, Status::FailedPrecondition("serving engine stopped"));
       }
     };
     fail_left(query_q_);
@@ -263,10 +266,8 @@ class Engine {
   std::future<Expected<QueryReply>> submit_query(const Query& q) {
     PendingQuery r;
     r.query = q;
-    return admit(std::move(r), query_q_, queries_admitted_, queries_rejected_,
-                 "query admission queue full");
+    return submit(std::move(r), query_q_);
   }
-
   std::future<Expected<uint64_t>> submit_insert(const Record& rec) {
     return submit_update(RequestKind::kInsert, rec);
   }
@@ -277,60 +278,55 @@ class Engine {
   // --- trace mode -------------------------------------------------------
 
   // Deterministic replay: processes `trace` (non-decreasing at_us) inline
-  // on the calling thread with the trace's logical clock — before admitting
-  // the event at time T, every flush whose deadline falls at or before T
-  // fires in deadline order (queries before updates on ties). Admission
-  // rejects when the pending batch already holds queue_capacity requests.
-  // The result is a pure function of (trace, config): bitwise-identical at
-  // every worker count. Engine must be stopped.
+  // on the calling thread with the trace's logical clock. Each event
+  // becomes a request record that completes into its outcome slot. Before
+  // the event at time T is admitted, every flush the flush rule finds due by
+  // T fires (a batch the previous admission filled goes first, at that
+  // admission's time); after the last event the rest drain. An epoch runs
+  // the commit hand-shake's steps inline. Admission rejects when the forming
+  // batch already holds queue_capacity requests. The result is a pure
+  // function of (trace, config): bitwise-identical at every worker count.
+  // Engine must be stopped.
   std::vector<Outcome> run_trace(const std::vector<Event>& trace) {
     assert(!running_);
     std::vector<Outcome> out(trace.size());
-    std::vector<TraceReq> pq, pu;
-    auto flush = [&](bool queries, uint64_t when,
-                     std::atomic<uint64_t>* trigger) {
-      TraceSink sink{&out, when};
-      if (queries) {
-        run_queries(pq, trigger, sink);
-      } else {
-        commit_inline(pu, trigger, sink);
+    std::vector<PendingQuery> pq;
+    std::vector<PendingUpdate> pu;
+    auto flush_due = [&](uint64_t now, bool stopping) {
+      for (;;) {
+        std::optional<Flush> f =
+            next_flush(pq, pu, now, stopping, phase() == CommitPhase::kIdle);
+        if (!f || !f->due) return;
+        auto stamp = [&](auto& batch) {
+          for (auto& r : batch) {
+            std::get<Outcome*>(r.done)->completed_at_us = f->at;
+          }
+        };
+        f->queries ? stamp(pq) : stamp(pu);
+        flush(*f, pq, pu);
+        while (commit_step()) publish_prepared();  // the committer, inline
       }
     };
-
-    uint64_t prev_at = 0;
+    // A replayed request is built in its forming batch; a full batch
+    // rejects it.
+    auto enqueue = [&](auto& batch, auto... fields) {
+      bool queued = batch.size() < cfg_.queue_capacity;
+      admitted(batch.emplace_back(fields...), queued);
+      if (!queued) batch.pop_back();
+    };
     for (size_t i = 0; i < trace.size(); ++i) {
       const Event& ev = trace[i];
-      assert(ev.at_us >= prev_at && "trace timestamps must be sorted");
-      prev_at = ev.at_us;
-      (void)prev_at;
-      out[i].admitted_at_us = ev.at_us;
-      for (;;) {  // fire every deadline due by now, chronologically
-        uint64_t dq = deadline(pq), du = deadline(pu);
-        if (std::min(dq, du) > ev.at_us) break;
-        flush(dq <= du, std::min(dq, du), &deadline_flushes_);
-      }
-      bool is_query = ev.kind == RequestKind::kQuery;
-      std::vector<TraceReq>& pend = is_query ? pq : pu;
-      if (pend.size() >= cfg_.queue_capacity) {
-        out[i].status = Status::ResourceExhausted(
-            is_query ? "query admission queue full"
-                     : "update admission queue full");
-        out[i].completed_at_us = ev.at_us;
-        (is_query ? queries_rejected_ : updates_rejected_)
-            .fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      pend.push_back(TraceReq{ev.kind, ev.at_us, i, ev.query, ev.rec});
-      (is_query ? queries_admitted_ : updates_admitted_)
-          .fetch_add(1, std::memory_order_relaxed);
-      if (pend.size() >= cfg_.max_batch) {
-        flush(is_query, ev.at_us, &size_flushes_);
+      assert((i == 0 || ev.at_us >= trace[i - 1].at_us) &&
+             "trace timestamps must be sorted");
+      out[i].admitted_at_us = out[i].completed_at_us = ev.at_us;
+      flush_due(ev.at_us, false);
+      if (ev.kind == RequestKind::kQuery) {
+        enqueue(pq, ev.query, ev.at_us, &out[i]);
+      } else {
+        enqueue(pu, ev.kind, ev.rec, ev.at_us, &out[i]);
       }
     }
-    while (!pq.empty() || !pu.empty()) {  // end-of-trace drain
-      uint64_t dq = deadline(pq), du = deadline(pu);
-      flush(dq <= du, std::min(dq, du), &drain_flushes_);
-    }
+    flush_due(trace.empty() ? 0 : trace.back().at_us, true);
     return out;
   }
 
@@ -372,8 +368,7 @@ class Engine {
   using Plan = typename Layer::EpochPlan;
 
   // A batch holds at least one request: with max_batch = 0 the batcher
-  // would drain nothing and never serve (run_trace already flushes every
-  // admission, as if the value were 1).
+  // would drain nothing and never serve.
   static Config clamped(Config cfg) {
     cfg.max_batch = std::max<size_t>(cfg.max_batch, 1);
     return cfg;
@@ -392,68 +387,41 @@ class Engine {
     kRebalanced
   };
 
-  // Requests of both modes carry the admission time `at` on the mode's
-  // clock; live ones complete a promise, trace ones an outcome slot.
+  // Where a request completes: a live request fulfils its promise, a
+  // replayed one fills its outcome slot.
+  template <typename T>
+  using Target = std::variant<std::promise<Expected<T>>, Outcome*>;
+
+  // One request record per kind, for both modes; `at` is the admission time
+  // on the mode's clock.
   struct PendingQuery {
     Query query{};
     uint64_t at = 0;
-    std::promise<Expected<QueryReply>> done;
+    Target<QueryReply> done;
   };
   struct PendingUpdate {
     RequestKind kind = RequestKind::kInsert;
     Record rec{};
     uint64_t at = 0;
-    std::promise<Expected<uint64_t>> done;
-  };
-  struct TraceReq {
-    RequestKind kind;
-    uint64_t at;
-    size_t idx;  // position in the trace / outcome array
-    Query query;
-    Record rec;
-  };
-
-  // Where completions go. Live mode fulfils each request's promise; trace
-  // mode fills its outcome slot at the logical flush time.
-  struct LiveSink {
-    static void done(PendingQuery& r, Status st, uint64_t version,
-                     std::vector<Item> items) {
-      if (st.ok()) {
-        r.done.set_value(QueryReply{std::move(items), version});
-      } else {
-        r.done.set_value(std::move(st));
-      }
-    }
-    static void done(PendingUpdate& r, Status st, uint64_t version,
-                     std::vector<Item>) {
-      if (st.ok()) {
-        r.done.set_value(version);
-      } else {
-        r.done.set_value(std::move(st));
-      }
-    }
-  };
-  static constexpr LiveSink kLive{};
-  struct TraceSink {
-    std::vector<Outcome>* out;
-    uint64_t when;
-    void done(TraceReq& r, Status st, uint64_t version,
-              std::vector<Item> items) const {
-      Outcome& o = (*out)[r.idx];
-      o.status = std::move(st);
-      o.items = std::move(items);
-      o.version = version;
-      o.completed_at_us = when;
-    }
+    Target<uint64_t> done;
   };
 
   // One screened epoch: the records that passed screening, the requests
   // they complete, and the plan (or failure) prepared for them.
-  template <typename Req>
   struct Epoch {
     std::vector<Record> inserts, erases;
-    std::vector<Req> requests;
+    std::vector<PendingUpdate> requests;
     Expected<Plan> plan = Status::FailedPrecondition("epoch not prepared");
+  };
+
+  // The flush of one forming batch: the query batch or the update epoch,
+  // the Stats counter of its trigger, its logical time, and whether it
+  // fires now or is the next one to wait for.
+  struct Flush {
+    bool queries = true;
+    std::atomic<uint64_t>* trigger = nullptr;
+    uint64_t at = 0;
+    bool due = false;
   };
 
   uint64_t now_us() const {
@@ -463,11 +431,40 @@ class Engine {
             .count());
   }
 
-  static constexpr uint64_t kNever = ~uint64_t{0};
-  // When a forming batch's oldest waiter reaches max_delay_us.
-  template <typename Req>
-  uint64_t deadline(const std::vector<Req>& batch) const {
-    return batch.empty() ? kNever : batch.front().at + cfg_.max_delay_us;
+  // The flush rule of both clocks: the next flush of the forming batches if
+  // nothing else arrives. A batch at max_batch flushes now, at its last
+  // admission time (size). Otherwise it flushes at its oldest waiter's
+  // admission time + max_delay_us (deadline), or right away at that same
+  // logical time when stopping (drain). The epoch waits while the committer
+  // is busy. The earliest flush goes first, queries before the epoch on
+  // ties.
+  std::optional<Flush> next_flush(const std::vector<PendingQuery>& pq,
+                                  const std::vector<PendingUpdate>& pu,
+                                  uint64_t now, bool stopping,
+                                  bool committer_idle) {
+    auto of = [&](const auto& batch, bool queries) -> std::optional<Flush> {
+      if (batch.empty()) return std::nullopt;
+      if (batch.size() >= cfg_.max_batch) {
+        return Flush{queries, &size_flushes_, batch.back().at, true};
+      }
+      uint64_t at = batch.front().at + cfg_.max_delay_us;
+      if (stopping) return Flush{queries, &drain_flushes_, at, true};
+      return Flush{queries, &deadline_flushes_, at, at <= now};
+    };
+    std::optional<Flush> q = of(pq, true);
+    std::optional<Flush> u = committer_idle ? of(pu, false) : std::nullopt;
+    return !q || (u && u->at < q->at) ? u : q;
+  }
+
+  // Runs a flush: the query batch against the published epoch, or the
+  // epoch's hand-off to the committer.
+  void flush(const Flush& f, std::vector<PendingQuery>& pq,
+             std::vector<PendingUpdate>& pu) {
+    if (f.queries) {
+      run_queries(pq, f.trigger);
+    } else {
+      hand_off(pu, f.trigger);
+    }
   }
 
   void note_batch(size_t n, std::atomic<uint64_t>* trigger_ctr) {
@@ -476,37 +473,69 @@ class Engine {
     batch_size_hist_[b].fetch_add(1, std::memory_order_relaxed);
   }
 
-  // Completes one request through `sink`, counting failures.
-  template <typename Sink, typename Req>
-  void complete(const Sink& sink, Req& r, Status st, uint64_t version = 0,
-                std::vector<Item> items = {}) {
-    if (!st.ok()) requests_failed_.fetch_add(1, std::memory_order_relaxed);
-    sink.done(r, std::move(st), version, std::move(items));
+  // Counts `r` as admitted if it was queued; otherwise its queue was full
+  // and it completes at once with ResourceExhausted, counted as rejected,
+  // not as failed.
+  template <typename Req>
+  bool admitted(Req& r, bool queued) {
+    constexpr bool kQuery = std::is_same_v<Req, PendingQuery>;
+    if (queued) {
+      (kQuery ? queries_admitted_ : updates_admitted_)
+          .fetch_add(1, std::memory_order_relaxed);
+      return true;
+    }
+    (kQuery ? queries_rejected_ : updates_rejected_)
+        .fetch_add(1, std::memory_order_relaxed);
+    const char* why =
+        kQuery ? "query admission queue full" : "update admission queue full";
+    deliver(r, Status::ResourceExhausted(why));
+    return false;
   }
 
-  // --- the steps both modes share ---------------------------------------
+  // Completes one request, counting failures.
+  template <typename Req>
+  void complete(Req& r, Status st, uint64_t version = 0,
+                std::vector<Item> items = {}) {
+    if (!st.ok()) requests_failed_.fetch_add(1, std::memory_order_relaxed);
+    deliver(r, std::move(st), version, std::move(items));
+  }
+
+  // Fulfils the request's completion target.
+  template <typename Req>
+  static void deliver(Req& r, Status st, uint64_t version = 0,
+                      std::vector<Item> items = {}) {
+    if (Outcome* const* slot = std::get_if<Outcome*>(&r.done)) {
+      (*slot)->status = std::move(st);
+      (*slot)->items = std::move(items);
+      (*slot)->version = version;
+    } else if (!st.ok()) {
+      std::get<0>(r.done).set_value(std::move(st));
+    } else if constexpr (std::is_same_v<Req, PendingQuery>) {
+      std::get<0>(r.done).set_value(QueryReply{std::move(items), version});
+    } else {
+      std::get<0>(r.done).set_value(version);
+    }
+  }
 
   // One query batch against the published epoch. A poisoned batch (fault
   // injection) falls back to re-running each query alone, so only the
   // requests whose own sub-batch trips the fault see its Status.
-  template <typename Req, typename Sink>
-  void run_queries(std::vector<Req>& batch, std::atomic<uint64_t>* trigger,
-                   const Sink& sink) {
-    if (batch.empty()) return;
+  void run_queries(std::vector<PendingQuery>& batch,
+                   std::atomic<uint64_t>* trigger) {
     note_batch(batch.size(), trigger);
     bool overlap = phase() != CommitPhase::kIdle;
     auto snap = layer_.snapshot();
     std::vector<Query> qs;
     qs.reserve(batch.size());
-    for (const Req& r : batch) qs.push_back(r.query);
+    for (const PendingQuery& r : batch) qs.push_back(r.query);
     parallel::BatchResult<Item> res = Traits::run(*snap, qs, cfg_);
     for (size_t i = 0; i < batch.size(); ++i) {
       if (res.ok()) {
-        complete(sink, batch[i], Status::Ok(), snap.version(), res.result(i));
+        complete(batch[i], Status::Ok(), snap.version(), res.result(i));
         continue;
       }
       parallel::BatchResult<Item> one = Traits::run(*snap, {qs[i]}, cfg_);
-      complete(sink, batch[i], one.status(), snap.version(),
+      complete(batch[i], one.status(), snap.version(),
                one.ok() ? one.result(0) : std::vector<Item>{});
     }
     assert(snap.valid());
@@ -518,15 +547,13 @@ class Engine {
   // Admission-to-epoch screening: validates each record and rejects ids
   // duplicated within the forming epoch, so a malformed request fails alone
   // instead of poisoning the commit. The survivors form the epoch.
-  template <typename Req, typename Sink>
-  Epoch<Req> screen(std::vector<Req>& batch, std::atomic<uint64_t>* trigger,
-                    const Sink& sink) {
-    Epoch<Req> ep;
-    if (batch.empty()) return ep;
+  Epoch screen(std::vector<PendingUpdate>& batch,
+               std::atomic<uint64_t>* trigger) {
+    Epoch ep;
     note_batch(batch.size(), trigger);
     std::unordered_set<uint32_t> epoch_ids;
     for (size_t i = 0; i < batch.size(); ++i) {
-      Req& r = batch[i];
+      PendingUpdate& r = batch[i];
       Status s = Layer::validate(r.rec, i);
       if constexpr (requires(const Record& rec) { rec.id; }) {
         if (s.ok() && r.kind == RequestKind::kInsert &&
@@ -538,7 +565,7 @@ class Engine {
         }
       }
       if (!s.ok()) {
-        complete(sink, r, std::move(s));
+        complete(r, std::move(s));
         continue;
       }
       (r.kind == RequestKind::kInsert ? ep.inserts : ep.erases)
@@ -549,44 +576,91 @@ class Engine {
     return ep;
   }
 
-  // Prepares the epoch against the live layer, retrying up to
-  // cfg_.commit_retries extra times (transient faults). Only reads the
-  // layer, so it may run beside query batches.
-  template <typename Req>
-  void prepare(Epoch<Req>& ep) {
-    for (int attempt = 0;; ++attempt) {
-      ep.plan = layer_.prepare_epoch(ep.inserts, ep.erases);
-      if (ep.plan.ok() || attempt >= cfg_.commit_retries) return;
-      commit_retries_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  // Publishes a prepared epoch and completes its requests with the new
-  // version, or fails them all with the prepare's Status. Runs between
-  // query batches. Returns whether the epoch published.
-  template <typename Req, typename Sink>
-  bool publish_epoch(Epoch<Req>& ep, const Sink& sink) {
-    uint64_t version = 0;
-    if (ep.plan.ok()) {
-      version = layer_.publish(ep.plan.value());
-      epochs_committed_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      epochs_failed_.fetch_add(1, std::memory_order_relaxed);
-    }
-    for (Req& r : ep.requests) complete(sink, r, ep.plan.status(), version);
-    return ep.plan.ok();
-  }
-
-  // Trace mode's epoch: the committer's and the batcher's steps, inline.
-  void commit_inline(std::vector<TraceReq>& batch,
-                     std::atomic<uint64_t>* trigger, const TraceSink& sink) {
-    Epoch<TraceReq> ep = screen(batch, trigger, sink);
+  // Batcher side: screens the forming epoch and hands the survivors to the
+  // committer, which must be idle.
+  void hand_off(std::vector<PendingUpdate>& batch,
+                std::atomic<uint64_t>* trigger) {
+    Epoch ep = screen(batch, trigger);
     if (ep.requests.empty()) return;
-    prepare(ep);
-    if (!publish_epoch(ep, sink)) return;
-    if (std::optional<Plan> rb = layer_.prepare_rebalance()) {
-      layer_.publish(*rb);
+    {
+      std::lock_guard<std::mutex> lk(commit_mu_);
+      inflight_ = std::move(ep);
+      phase_.store(CommitPhase::kPreparing, std::memory_order_relaxed);
     }
+    commit_cv_.notify_all();
+  }
+
+  // The committer's step: drops the plan the batcher's last publish
+  // displaced, then prepares the handed-off epoch (kPreparing, retrying up
+  // to cfg_.commit_retries extra times) or any due rebalance (kRebalancing)
+  // and moves to the phase the batcher publishes from. Both prepares only
+  // read the layer, so they may run beside query batches. Returns whether
+  // the phase moved.
+  bool commit_step() {
+    std::unique_lock<std::mutex> lk(commit_mu_);
+    CommitPhase ph = phase();
+    std::optional<Plan> spent = std::exchange(spent_, std::nullopt);
+    lk.unlock();
+    spent.reset();
+    std::optional<Plan> rb;
+    if (ph == CommitPhase::kPreparing) {
+      Epoch& ep = inflight_;  // the batcher leaves it alone meanwhile
+      for (int attempt = 0;; ++attempt) {
+        ep.plan = layer_.prepare_epoch(ep.inserts, ep.erases);
+        if (ep.plan.ok() || attempt >= cfg_.commit_retries) break;
+        commit_retries_.fetch_add(1, std::memory_order_relaxed);
+      }
+    } else if (ph == CommitPhase::kRebalancing) {
+      rb = layer_.prepare_rebalance();
+    } else {
+      return false;
+    }
+    lk.lock();
+    if (ph == CommitPhase::kPreparing) {
+      phase_.store(CommitPhase::kPrepared, std::memory_order_relaxed);
+    } else {
+      rebalance_ = std::move(rb);
+      phase_.store(rebalance_ ? CommitPhase::kRebalanced : CommitPhase::kIdle,
+                   std::memory_order_relaxed);
+    }
+    return true;
+  }
+
+  // Batcher side, between query batches: publishes a prepared epoch and
+  // completes its requests with the new version (or fails them all with
+  // the prepare's Status), or publishes a prepared rebalance; then hands
+  // the spent plan to the committer to drop.
+  void publish_prepared() {
+    std::unique_lock<std::mutex> lk(commit_mu_);
+    CommitPhase ph = phase();
+    if (ph == CommitPhase::kPrepared) {
+      Epoch ep = std::move(inflight_);
+      lk.unlock();
+      bool ok = ep.plan.ok();
+      uint64_t version = 0;
+      if (ok) {
+        version = layer_.publish(ep.plan.value());
+        epochs_committed_.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        epochs_failed_.fetch_add(1, std::memory_order_relaxed);
+      }
+      for (PendingUpdate& r : ep.requests) {
+        complete(r, ep.plan.status(), version);
+      }
+      lk.lock();
+      if (ok) spent_ = std::move(ep.plan).value();
+      phase_.store(ok ? CommitPhase::kRebalancing : CommitPhase::kIdle,
+                   std::memory_order_relaxed);
+    } else if (ph == CommitPhase::kRebalanced) {
+      layer_.publish(*rebalance_);
+      spent_ = std::move(rebalance_);
+      rebalance_.reset();
+      phase_.store(CommitPhase::kIdle, std::memory_order_relaxed);
+    } else {
+      return;
+    }
+    lk.unlock();
+    commit_cv_.notify_all();
   }
 
   // --- live-mode internals ----------------------------------------------
@@ -596,25 +670,18 @@ class Engine {
     PendingUpdate r;
     r.kind = kind;
     r.rec = rec;
-    return admit(std::move(r), update_q_, updates_admitted_,
-                 updates_rejected_, "update admission queue full");
+    return submit(std::move(r), update_q_);
   }
 
   // Stamps a request's admission time and queues it, or completes it at
   // once when the engine is stopped or the queue is full.
   template <typename Req>
-  auto admit(Req r, BoundedMpscQueue<Req>& q, std::atomic<uint64_t>& admitted,
-             std::atomic<uint64_t>& rejected, const char* full) {
+  auto submit(Req r, BoundedMpscQueue<Req>& q) {
     r.at = now_us();
-    auto fut = r.done.get_future();
+    auto fut = std::get<0>(r.done).get_future();
     if (!accepting_.load(std::memory_order_acquire)) {
-      r.done.set_value(
-          Status::FailedPrecondition("serving engine is not running"));
-    } else if (!q.try_push(r)) {
-      rejected.fetch_add(1, std::memory_order_relaxed);
-      r.done.set_value(Status::ResourceExhausted(full));
-    } else {
-      admitted.fetch_add(1, std::memory_order_relaxed);
+      complete(r, Status::FailedPrecondition("serving engine is not running"));
+    } else if (admitted(r, q.try_push(r))) {
       poke();
     }
     return fut;
@@ -632,16 +699,6 @@ class Engine {
     return phase_.load(std::memory_order_relaxed);
   }
 
-  // The flush trigger a forming batch has hit by `now`, or nullptr.
-  template <typename Req>
-  std::atomic<uint64_t>* due(const std::vector<Req>& batch, uint64_t now,
-                             bool stopping) {
-    if (batch.empty()) return nullptr;
-    if (batch.size() >= cfg_.max_batch) return &size_flushes_;
-    if (now >= deadline(batch)) return &deadline_flushes_;
-    return stopping ? &drain_flushes_ : nullptr;
-  }
-
   void batcher_loop() {
     std::vector<PendingQuery> pq;
     std::vector<PendingUpdate> pu;
@@ -654,18 +711,17 @@ class Engine {
       if (pu.size() < cfg_.max_batch) {
         update_q_.drain_into(pu, cfg_.max_batch - pu.size());
       }
-      uint64_t now = now_us();
-      if (auto* trigger = due(pq, now, stopping)) {
-        run_queries(pq, trigger, kLive);
-      }
-      if (phase() == CommitPhase::kIdle) {
-        if (auto* trigger = due(pu, now, stopping)) hand_off(pu, trigger);
+      std::optional<Flush> f =
+          next_flush(pq, pu, now_us(), stopping, phase() == CommitPhase::kIdle);
+      if (f && f->due) {
+        flush(*f, pq, pu);
+        continue;
       }
       if (stopping && pq.empty() && pu.empty() && query_q_.empty() &&
           update_q_.empty() && phase() == CommitPhase::kIdle) {
         break;
       }
-      wait_for_work(pq, pu, stopping);
+      wait_for_work(f);
     }
     {
       std::lock_guard<std::mutex> lk(commit_mu_);
@@ -674,101 +730,41 @@ class Engine {
     commit_cv_.notify_all();
   }
 
-  void hand_off(std::vector<PendingUpdate>& batch,
-                std::atomic<uint64_t>* trigger) {
-    Epoch<PendingUpdate> ep = screen(batch, trigger, kLive);
-    if (ep.requests.empty()) return;
-    {
-      std::lock_guard<std::mutex> lk(commit_mu_);
-      inflight_ = std::move(ep);
-      phase_.store(CommitPhase::kPreparing, std::memory_order_relaxed);
-    }
-    commit_cv_.notify_all();
-  }
-
-  // Batcher side of the hand-shake, between query batches: publishes a
-  // prepared epoch (completing its requests) or rebalance, and hands the
-  // spent plan to the committer to drop.
-  void publish_prepared() {
-    std::unique_lock<std::mutex> lk(commit_mu_);
-    CommitPhase ph = phase();
-    if (ph == CommitPhase::kPrepared) {
-      Epoch<PendingUpdate> ep = std::move(inflight_);
-      lk.unlock();
-      bool ok = publish_epoch(ep, kLive);
-      lk.lock();
-      if (ok) spent_ = std::move(ep.plan).value();
-      phase_.store(ok ? CommitPhase::kRebalancing : CommitPhase::kIdle,
-                   std::memory_order_relaxed);
-    } else if (ph == CommitPhase::kRebalanced) {
-      layer_.publish(*rebalance_);
-      spent_ = std::move(rebalance_);
-      rebalance_.reset();
-      phase_.store(CommitPhase::kIdle, std::memory_order_relaxed);
-    } else {
-      return;
-    }
-    lk.unlock();
-    commit_cv_.notify_all();
-  }
-
   void committer_loop() {
-    std::unique_lock<std::mutex> lk(commit_mu_);
     for (;;) {
-      commit_cv_.wait(lk, [&] {
-        CommitPhase ph = phase();
-        return committer_exit_ || spent_ || ph == CommitPhase::kPreparing ||
-               ph == CommitPhase::kRebalancing;
-      });
-      CommitPhase ph = phase();
-      if (committer_exit_ && !spent_ && ph == CommitPhase::kIdle) break;
-      std::optional<Plan> spent = std::exchange(spent_, std::nullopt);
-      lk.unlock();
-      spent.reset();  // frees what the batcher's last publish displaced
-      std::optional<Plan> rb;
-      if (ph == CommitPhase::kPreparing) {
-        prepare(inflight_);  // the batcher leaves inflight_ alone meanwhile
-      } else if (ph == CommitPhase::kRebalancing) {
-        rb = layer_.prepare_rebalance();
+      {
+        std::unique_lock<std::mutex> lk(commit_mu_);
+        commit_cv_.wait(lk, [&] {
+          CommitPhase ph = phase();
+          return committer_exit_ || spent_ || ph == CommitPhase::kPreparing ||
+                 ph == CommitPhase::kRebalancing;
+        });
+        if (committer_exit_ && !spent_ && phase() == CommitPhase::kIdle) {
+          return;
+        }
       }
-      lk.lock();
-      if (ph == CommitPhase::kPreparing) {
-        phase_.store(CommitPhase::kPrepared, std::memory_order_relaxed);
-      } else if (ph == CommitPhase::kRebalancing) {
-        rebalance_ = std::move(rb);
-        phase_.store(rebalance_ ? CommitPhase::kRebalanced : CommitPhase::kIdle,
-                     std::memory_order_relaxed);
-      } else {
-        continue;
-      }
-      lk.unlock();
-      poke();  // the batcher publishes, or may hand off the next epoch
-      lk.lock();
+      // The batcher publishes, or may hand off the next epoch.
+      if (commit_step()) poke();
     }
   }
 
-  // Sleeps until a poke or the next due deadline. With max_delay_us = 0 this
-  // never spins: batcher_loop flushes every non-empty forming batch before
-  // it waits, so pq is empty here, and pu only waits while the committer is
-  // busy — its deadline is then ignored, and the committer's poke is the
-  // wake signal.
-  void wait_for_work(const std::vector<PendingQuery>& pq,
-                     const std::vector<PendingUpdate>& pu, bool stopping) {
-    bool commit_ready = phase() == CommitPhase::kIdle;
+  // Sleeps until a poke or until the next flush falls due. With
+  // max_delay_us = 0 this never spins: every non-empty forming batch is
+  // due, so the batcher flushes instead of waiting, except an epoch while
+  // the committer is busy — next_flush then leaves it out, and the
+  // committer's poke is the wake signal.
+  void wait_for_work(const std::optional<Flush>& next) {
     std::unique_lock<std::mutex> lk(wake_mu_);
     if (wake_pending_) {
       wake_pending_ = false;
       return;
     }
-    uint64_t now = now_us();
     constexpr uint64_t kIdleWaitUs = 5000;
-    uint64_t next = std::min(now + kIdleWaitUs, deadline(pq));
-    // An update deadline only matters when the committer could accept the
-    // epoch; otherwise the committer's poke is the wake signal.
-    if (commit_ready) next = std::min(next, deadline(pu));
-    if (stopping) next = std::min(next, now + 200);
-    if (next <= now) return;
-    wake_cv_.wait_for(lk, std::chrono::microseconds(next - now));
+    uint64_t now = now_us();
+    uint64_t until = now + kIdleWaitUs;
+    if (next) until = std::min(until, next->at);
+    if (until <= now) return;
+    wake_cv_.wait_for(lk, std::chrono::microseconds(until - now));
     wake_pending_ = false;
   }
 
@@ -796,7 +792,7 @@ class Engine {
   std::condition_variable commit_cv_;
   std::atomic<CommitPhase> phase_{CommitPhase::kIdle};
   bool committer_exit_ = false;
-  Epoch<PendingUpdate> inflight_;
+  Epoch inflight_;
   std::optional<Plan> rebalance_;
   std::optional<Plan> spent_;
 

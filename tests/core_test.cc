@@ -1,138 +1,10 @@
-// Framework tests: the generic DAG tracing algorithm (Section 3.1) on
-// synthetic history DAGs, and the prefix-doubling round schedule (3.2).
+// Framework tests: the prefix-doubling round schedule (Section 3.2).
 #include <gtest/gtest.h>
 
-#include <mutex>
-#include <set>
-
-#include "src/asym/counters.h"
-#include "src/core/dag_trace.h"
 #include "src/core/prefix_doubling.h"
-#include "src/primitives/random.h"
 
 namespace weg::core {
 namespace {
-
-// A layered random DAG where vertex visibility is monotone along edges
-// (visible child implies some visible parent by construction), matching the
-// tracable property of Definition 3.2.
-struct LayeredDag {
-  // adjacency
-  std::vector<std::vector<uint32_t>> out, in;
-  std::vector<uint8_t> visible;
-
-  size_t out_degree(uint32_t v) const { return out[v].size(); }
-  uint32_t out_neighbor(uint32_t v, size_t k) const { return out[v][k]; }
-  size_t in_degree(uint32_t v) const { return in[v].size(); }
-  uint32_t in_neighbor(uint32_t v, size_t k) const { return in[v][k]; }
-  bool higher_priority(uint32_t a, uint32_t b) const { return a < b; }
-};
-
-// Builds a DAG with `layers` layers of `width` vertices; vertex 0 is the
-// root. Visibility flows downward: a vertex is visible iff at least one
-// parent is visible and a per-vertex coin lands heads (root always visible).
-LayeredDag make_dag(size_t layers, size_t width, uint64_t seed,
-                    int keep_percent) {
-  primitives::Rng rng(seed);
-  size_t n = 1 + layers * width;
-  LayeredDag g;
-  g.out.resize(n);
-  g.in.resize(n);
-  g.visible.assign(n, 0);
-  g.visible[0] = 1;
-  auto vid = [&](size_t layer, size_t i) -> uint32_t {
-    return static_cast<uint32_t>(1 + layer * width + i);
-  };
-  for (size_t i = 0; i < width; ++i) {
-    g.out[0].push_back(vid(0, i));
-    g.in[vid(0, i)].push_back(0);
-  }
-  for (size_t l = 1; l < layers; ++l) {
-    for (size_t i = 0; i < width; ++i) {
-      uint32_t v = vid(l, i);
-      // Two parents from the previous layer (constant degree).
-      uint32_t p1 = vid(l - 1, rng.next_bounded(width));
-      uint32_t p2 = vid(l - 1, rng.next_bounded(width));
-      for (uint32_t p : {p1, p2}) {
-        if (std::find(g.in[v].begin(), g.in[v].end(), p) == g.in[v].end()) {
-          g.out[p].push_back(v);
-          g.in[v].push_back(p);
-        }
-      }
-    }
-  }
-  // Propagate visibility downward with coin flips.
-  for (size_t l = 0; l < layers; ++l) {
-    for (size_t i = 0; i < width; ++i) {
-      uint32_t v = vid(l, i);
-      bool parent_vis = false;
-      for (uint32_t p : g.in[v]) parent_vis |= (g.visible[p] != 0);
-      if (parent_vis && rng.next_bounded(100) < (uint64_t)keep_percent) {
-        g.visible[v] = 1;
-      }
-    }
-  }
-  return g;
-}
-
-std::set<uint32_t> brute_force_sinks(const LayeredDag& g) {
-  std::set<uint32_t> s;
-  for (uint32_t v = 0; v < g.out.size(); ++v) {
-    if (g.visible[v] && g.out[v].empty()) s.insert(v);
-  }
-  return s;
-}
-
-class DagTraceParams
-    : public ::testing::TestWithParam<std::tuple<size_t, size_t, int>> {};
-
-TEST_P(DagTraceParams, FindsExactlyTheVisibleSinks) {
-  auto [layers, width, keep] = GetParam();
-  for (uint64_t seed = 1; seed <= 3; ++seed) {
-    auto g = make_dag(layers, width, seed, keep);
-    std::set<uint32_t> found;
-    std::mutex mu;
-    dag_trace(
-        g, uint32_t{0}, [&](uint32_t v) { return g.visible[v] != 0; },
-        [&](uint32_t v) {
-          std::lock_guard<std::mutex> lk(mu);
-          // The designated-parent rule must deliver each sink exactly once.
-          EXPECT_TRUE(found.insert(v).second) << "sink visited twice";
-        },
-        /*parallel_depth=*/4);
-    EXPECT_EQ(found, brute_force_sinks(g));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, DagTraceParams,
-    ::testing::Values(std::make_tuple(1, 8, 100), std::make_tuple(5, 10, 80),
-                      std::make_tuple(10, 50, 60),
-                      std::make_tuple(20, 100, 40),
-                      std::make_tuple(3, 1000, 90)));
-
-TEST(DagTrace, InvisibleRootYieldsNothing) {
-  auto g = make_dag(3, 5, 7, 100);
-  g.visible[0] = 0;
-  int count = 0;
-  dag_trace(g, uint32_t{0}, [&](uint32_t v) { return g.visible[v] != 0; },
-            [&](uint32_t) { ++count; });
-  EXPECT_EQ(count, 0);
-}
-
-TEST(DagTrace, WritesOnlyForOutputs) {
-  // The write-efficiency contract of Theorem 3.1: the trace itself performs
-  // no large-memory writes; only the caller's emits do.
-  auto g = make_dag(10, 50, 9, 70);
-  asym::Region r;
-  size_t sinks = 0;
-  dag_trace(g, uint32_t{0}, [&](uint32_t v) { return g.visible[v] != 0; },
-            [&](uint32_t) {
-              asym::count_write();
-              ++sinks;
-            });
-  EXPECT_EQ(r.delta().writes, sinks);
-}
 
 TEST(PrefixDoubling, CoversRangeExactly) {
   for (size_t n : {1ul, 2ul, 10ul, 1000ul, 123456ul}) {

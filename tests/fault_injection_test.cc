@@ -159,7 +159,6 @@ TEST(FaultInjection, CommitRollsBackAtEveryShardIndex) {
   PointProbes probes{box_queries(64, 0xBEEF),
                      testing::random_points<2>(32, 0xBEF0)};
   expect_rollback_at_every_shard<LogForest<2>>(base, extra, probes);
-  expect_rollback_at_every_shard<DynamicKdTree<2>>(base, extra, probes);
 }
 
 TEST(FaultInjection, FailedCommitCountsAreDeterministic) {

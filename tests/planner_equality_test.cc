@@ -34,7 +34,6 @@ namespace {
 
 using augtree::DynamicIntervalTree;
 using augtree::Interval;
-using kdtree::DynamicKdTree;
 using kdtree::LogForest;
 using parallel::Routing;
 using parallel::Sharded;
@@ -140,30 +139,6 @@ TEST(PlannerEquality, ForestRoutedVsBroadcastVsUnsharded) {
       ASSERT_TRUE(ann_r[i].has_value());
       EXPECT_EQ(ann_r[i], ann_b[i]);
       EXPECT_EQ(*ann_r[i], oracle.knn(nnq[i], 1).front());
-    }
-  }
-}
-
-TEST(PlannerEquality, DynamicKdTreeRoutedVsBroadcast) {
-  auto pts = testing::random_points<2>(20000, 0xD00D);
-  std::vector<geom::Point2> gone(pts.begin(), pts.begin() + 2500);
-  DynamicKdTree<2> oracle;
-  ASSERT_TRUE(oracle.bulk_insert(pts).ok());
-  ASSERT_EQ(oracle.bulk_erase(gone).value(), gone.size());
-  auto boxes = box_queries(96, 0xF00D, 0.2);
-  auto nnq = testing::random_points<2>(32, 0x1DEA);
-
-  for (size_t f : kFanouts) {
-    Sharded<DynamicKdTree<2>> routed(Routing::kRange, f);
-    ASSERT_TRUE(routed.bulk_insert(pts).ok());
-    EXPECT_EQ(routed.bulk_erase(gone).value(), gone.size());
-    auto rep = routed.range_report_batch(boxes);
-    auto ann = routed.ann_batch(nnq, 0.0);
-    for (size_t i = 0; i < boxes.size(); ++i) {
-      EXPECT_EQ(rep.result(i), sorted_points(oracle.range_report(boxes[i])));
-    }
-    for (size_t i = 0; i < nnq.size(); ++i) {
-      EXPECT_EQ(ann[i], oracle.ann(nnq[i], 0.0));
     }
   }
 }

@@ -17,7 +17,9 @@
 //     the brute-force oracle at exactly the version it reports, also across
 //     range rebalances published between query batches, and under the
 //     default Config with concurrent query and update producers,
-//   * live mode with max_batch = 0 serves and stops (the value acts as 1).
+//   * live mode with max_batch = 0 serves and stops (the value acts as 1),
+//   * a range rebalance published by a replay through the commit
+//     hand-shake, and the failure count of a submit to a stopped engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -497,6 +499,86 @@ TEST(ServingTrace, KnnEngineServesPointFamily) {
   EXPECT_EQ(out1.back().version, 2u);
 }
 
+// Trace mode over a range-routed forest: a skewed insert trace overloads
+// the top shard, so epochs are followed by range rebalances, which the
+// replay prepares and publishes through the same commit hand-shake steps as
+// live mode. No query batch runs beside a prepare, the replay is
+// deterministic, and every kNN reply equals the brute-force answer over
+// exactly the version it reports.
+TEST(ServingTrace, RebalancePublishesThroughTheHandShake) {
+  using PointEngine = serve::Engine<LogForest<2>>;
+  using PEvent = serve::TraceEvent<LogForest<2>>;
+  using geom::Point2;
+  Config cfg;
+  cfg.queue_capacity = 256;
+  cfg.max_batch = 64;
+  cfg.max_delay_us = 200;
+  cfg.knn_k = 4;
+  primitives::Rng rng(33);
+  std::vector<Point2> base(512);
+  for (auto& p : base) p = {rng.next_double(), rng.next_double()};
+
+  // Every insert lands in the top shard's slab of the seeded partition.
+  std::vector<PEvent> trace;
+  for (uint64_t round = 0; round < 12; ++round) {
+    for (uint64_t j = 0; j < 96; ++j) {
+      PEvent e;
+      e.kind = RequestKind::kInsert;
+      e.at_us = round * 300 + j;
+      e.rec = {0.97 + 0.02 * rng.next_double(), rng.next_double()};
+      trace.push_back(e);
+      if (j % 2 == 0) {
+        e.kind = RequestKind::kQuery;
+        e.query = {rng.next_double(), rng.next_double()};
+        trace.push_back(e);
+      }
+    }
+  }
+
+  auto run = [&] {
+    PointEngine eng(cfg, Routing::kRange, 4);
+    EXPECT_TRUE(eng.bulk_load(base).ok());
+    auto out = eng.run_trace(trace);
+    EXPECT_GT(eng.snapshot()->rebalances(), 0u);
+    EXPECT_EQ(eng.stats().overlap_batches, 0u);
+    EXPECT_EQ(eng.stats().requests_failed, 0u);
+    return out;
+  };
+  auto out1 = run();
+  auto out2 = run();
+  ASSERT_EQ(out1.size(), trace.size());
+  ASSERT_EQ(out2.size(), trace.size());
+  for (size_t i = 0; i < out1.size(); ++i) {
+    ASSERT_TRUE(out1[i].status.ok()) << i << ": " << out1[i].status.to_string();
+    EXPECT_EQ(out1[i].status.code(), out2[i].status.code()) << i;
+    EXPECT_EQ(out1[i].items, out2[i].items) << i;
+    EXPECT_EQ(out1[i].version, out2[i].version) << i;
+    EXPECT_EQ(out1[i].completed_at_us, out2[i].completed_at_us) << i;
+  }
+
+  std::map<uint64_t, std::vector<Point2>> by_version;
+  for (size_t i = 0; i < trace.size(); ++i) {
+    if (trace[i].kind == RequestKind::kInsert) {
+      by_version[out1[i].version].push_back(trace[i].rec);
+    }
+  }
+  std::map<uint64_t, std::vector<Point2>> live_at;
+  std::vector<Point2> live = base;
+  live_at[1] = live;
+  for (const auto& [ver, pts] : by_version) {
+    live.insert(live.end(), pts.begin(), pts.end());
+    live_at[ver] = live;
+  }
+  for (size_t i = 0; i < trace.size(); ++i) {
+    if (trace[i].kind != RequestKind::kQuery) continue;
+    auto it = live_at.find(out1[i].version);
+    ASSERT_NE(it, live_at.end()) << "unknown version " << out1[i].version;
+    EXPECT_EQ(out1[i].items,
+              brute_knn(it->second, trace[i].query, cfg.knn_k))
+        << "query " << i << " at version " << out1[i].version;
+  }
+}
+
 // Live mode: real producer/batcher/committer threads. Every query reply
 // must match the brute-force oracle at exactly the version it reports —
 // a query that observed a half-applied epoch or a torn flip would mismatch.
@@ -788,9 +870,12 @@ TEST(ServingLive, ConcurrentProducersAndRestart) {
     }
   }
 
-  // Stopped: a submit completes immediately with FailedPrecondition.
+  // Stopped: a submit completes immediately with FailedPrecondition and
+  // counts as a failed request, like the requests stop() itself fails.
+  const uint64_t failed = eng.stats().requests_failed;
   auto rejected = eng.submit_query(0.5).get();
   EXPECT_EQ(rejected.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(eng.stats().requests_failed, failed + 1);
 
   // Restart serves again.
   eng.start();

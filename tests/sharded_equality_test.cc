@@ -214,22 +214,6 @@ TEST(ShardedEquality, DynamicKdTreeBulkMatchesElementwise) {
     EXPECT_EQ(sorted_points(bulk.range_report(boxes[i])),
               sorted_points(elementwise.range_report(boxes[i])));
   }
-
-  // The sharded wrapper over the single-tree version: range + ANN equality.
-  for (size_t f : kFanouts) {
-    Sharded<DynamicKdTree<2>> sharded(f);
-    ASSERT_TRUE(sharded.bulk_insert(pts).ok());
-    EXPECT_EQ(sharded.bulk_erase(gone).value(), gone.size());
-    auto rep = sharded.range_report_batch(boxes);
-    auto nnq = testing::random_points<2>(32, 0x1DEA);
-    auto ann = sharded.ann_batch(nnq, 0.0);
-    for (size_t i = 0; i < boxes.size(); ++i) {
-      EXPECT_EQ(rep.result(i), sorted_points(bulk.range_report(boxes[i])));
-    }
-    for (size_t i = 0; i < nnq.size(); ++i) {
-      EXPECT_EQ(ann[i], bulk.ann(nnq[i], 0.0));
-    }
-  }
 }
 
 TEST(ShardedEquality, EpochInterleavingMatchesSerialReplay) {
