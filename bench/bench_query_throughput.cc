@@ -1,5 +1,6 @@
 // Batched-query engine throughput: queries/sec vs batch size for 2D range
-// reports and k-NN on a 2^18-point k-d tree and 1D stabbing on a 2^18
+// reports on a 2^18-point k-d tree, k-NN (k = 8) on a p-batched 2^20-point
+// k-d tree (the tree build_static queries) and 1D stabbing on a 2^18
 // interval tree. Each *_batch row runs the two-phase count+scan+report plan
 // over one batch per iteration (items_per_second == queries/sec); the *_loop
 // rows run the same queries as a serial per-query loop, so batch overhead /
@@ -13,6 +14,7 @@
 #include "bench/common.h"
 #include "src/augtree/interval_tree.h"
 #include "src/kdtree/kdtree.h"
+#include "src/kdtree/pbatched.h"
 #include "src/primitives/random.h"
 
 namespace {
@@ -24,6 +26,12 @@ constexpr size_t kIndexN = size_t{1} << 18;
 const kdtree::KdTree2& kd_index() {
   static const kdtree::KdTree2 tree =
       kdtree::KdTree2::build_classic(bench::uniform_points(kIndexN, 42), 8);
+  return tree;
+}
+
+const kdtree::KdTree2& knn_index() {
+  static const kdtree::KdTree2 tree =
+      kdtree::PBatched2::build(bench::uniform_points(size_t{1} << 20, 44));
   return tree;
 }
 
@@ -103,6 +111,18 @@ void BM_StabLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_StabLoop)->Arg(1024)->UseRealTime();
 
+void BM_StabCountBatch(benchmark::State& state) {
+  const auto& tree = iv_index();
+  size_t q = static_cast<size_t>(state.range(0));
+  auto qs = make_stabs(q, 11);
+  for (auto _ : state) {
+    auto r = tree.stab_count_batch(qs);
+    benchmark::DoNotOptimize(r.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * q));
+}
+BENCHMARK(BM_StabCountBatch)->Arg(1024)->UseRealTime();
+
 // Mixed-selectivity count boxes: one in eight covers the whole index, the
 // rest are the usual 2% windows — the wide ones exercise the
 // covered-subtree fast path (answered from subtree counts in O(log n)
@@ -156,7 +176,7 @@ void BM_CountLoop(benchmark::State& state) {
 BENCHMARK(BM_CountLoop)->Arg(1024)->UseRealTime();
 
 void BM_KnnBatch(benchmark::State& state) {
-  const auto& tree = kd_index();
+  const auto& tree = knn_index();
   size_t q = static_cast<size_t>(state.range(0));
   auto pts = bench::uniform_points(q, 13);
   for (auto _ : state) {
@@ -168,7 +188,7 @@ void BM_KnnBatch(benchmark::State& state) {
 BENCHMARK(BM_KnnBatch)->Arg(64)->Arg(1024)->Arg(16384)->UseRealTime();
 
 void BM_KnnLoop(benchmark::State& state) {
-  const auto& tree = kd_index();
+  const auto& tree = knn_index();
   size_t q = static_cast<size_t>(state.range(0));
   auto pts = bench::uniform_points(q, 13);
   for (auto _ : state) {

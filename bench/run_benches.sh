@@ -18,6 +18,19 @@
 #                     (repeatable; e.g. --benchmark-arg
 #                     '--benchmark_filter=/(64|256)(/|$)' for the CI
 #                     bench-smoke job's small-size rows).
+#   --interleave <base-build-dir>
+#                     before/after mode: record every selected bench from
+#                     <base-build-dir> (say, a build of the parent commit)
+#                     and from build-dir alternately, one repetition of each
+#                     binary in each of 5 rounds, the first binary of a
+#                     round alternating, so host drift hits both sides
+#                     alike. Writes <build-dir>/interleaved/base/ and
+#                     <build-dir>/interleaved/fresh/BENCH_<name>.json (plus
+#                     the _serial baselines), one row per round and median /
+#                     mean / stddev / cv aggregates each, for
+#                       bench/compare_bench.py <build-dir>/interleaved/base \
+#                         <build-dir>/interleaved/fresh
+#                     The BENCH files at the repo root are left untouched.
 #   build-dir         defaults to build/release
 #
 # Exits non-zero if any requested bench binary is missing (a silently
@@ -45,6 +58,7 @@ BENCHES=(
 FILTER=""
 BUILD="build/release"
 BENCH_ARGS=()
+BASE=""
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --filter)
@@ -64,6 +78,11 @@ while [[ $# -gt 0 ]]; do
     --benchmark-arg=*)
       BENCH_ARGS+=("${1#--benchmark-arg=}")
       shift
+      ;;
+    --interleave)
+      [[ $# -ge 2 ]] || { echo "--interleave needs an argument" >&2; exit 2; }
+      BASE="$2"
+      shift 2
       ;;
     -h|--help)
       # Print the whole header comment block (everything between the shebang
@@ -104,10 +123,12 @@ fi
 missing=0
 for entry in "${selected[@]}"; do
   bin="$(cut -d: -f2 <<<"$entry")"
-  if [[ ! -x "$BUILD/bench/$bin" ]]; then
-    echo "missing bench binary: $BUILD/bench/$bin" >&2
-    missing=1
-  fi
+  for dir in "$BUILD" ${BASE:+"$BASE"}; do
+    if [[ ! -x "$dir/bench/$bin" ]]; then
+      echo "missing bench binary: $dir/bench/$bin" >&2
+      missing=1
+    fi
+  done
 done
 if [[ $missing -ne 0 ]]; then
   echo "build them first:" >&2
@@ -117,6 +138,74 @@ fi
 
 tmp=$(mktemp -d "$BUILD/bench_json.XXXXXX")
 trap 'rm -rf "$tmp"' EXIT
+
+if [[ -n "$BASE" ]]; then
+  ROUNDS=5
+  OUT_DIR="$BUILD/interleaved"
+  mkdir -p "$tmp/base" "$tmp/fresh"
+  # run_round <side> <bin> <file> <round> [env...]: one repetition.
+  run_round() {
+    local side="$1" bin="$2" file="$3" round="$4"
+    local dir="$BUILD"
+    [[ "$side" == "base" ]] && dir="$BASE"
+    shift 4
+    env "$@" "$dir/bench/$bin" \
+      --benchmark_out="$tmp/$side/$file.$round" --benchmark_out_format=json \
+      ${BENCH_ARGS[@]+"${BENCH_ARGS[@]}"} >/dev/null
+  }
+  for entry in "${selected[@]}"; do
+    name="$(cut -d: -f1 <<<"$entry")"
+    bin="$(cut -d: -f2 <<<"$entry")"
+    par="$(cut -d: -f3 <<<"$entry")"
+    modes=("BENCH_$name.json:")
+    [[ "$par" == "yes" ]] && modes+=("BENCH_${name}_serial.json:WEG_NUM_THREADS=1")
+    for mode in "${modes[@]}"; do
+      file="${mode%%:*}"
+      envs=()
+      [[ -n "${mode#*:}" ]] && envs=("${mode#*:}")
+      for ((r = 0; r < ROUNDS; ++r)); do
+        echo "== $file round $((r + 1))/$ROUNDS =="
+        if ((r % 2 == 0)); then order=(base fresh); else order=(fresh base); fi
+        for side in "${order[@]}"; do
+          run_round "$side" "$bin" "$file" "$r" ${envs[@]+"${envs[@]}"}
+        done
+      done
+      for side in base fresh; do
+        python3 - "$tmp/$side/$file" "$ROUNDS" <<'PY'
+import json, statistics, sys
+out, rounds = sys.argv[1], int(sys.argv[2])
+docs = [json.load(open(f"{out}.{r}")) for r in range(rounds)]
+merged = {"context": docs[0]["context"], "benchmarks": []}
+merged["context"]["interleaved_rounds"] = rounds
+names = [b["name"] for b in docs[0]["benchmarks"]]
+for name in names:
+    runs = [b for d in docs for b in d["benchmarks"] if b["name"] == name]
+    for i, b in enumerate(runs):
+        merged["benchmarks"].append(dict(b, run_name=name, repetitions=rounds,
+                                         repetition_index=i))
+    times = [b["real_time"] for b in runs]
+    mean = statistics.mean(times)
+    sd = statistics.stdev(times) if len(times) > 1 else 0.0
+    for agg, value in (("mean", mean), ("median", statistics.median(times)),
+                       ("stddev", sd), ("cv", sd / mean if mean else 0.0)):
+        merged["benchmarks"].append({
+            "name": f"{name}_{agg}", "run_name": name,
+            "run_type": "aggregate", "aggregate_name": agg,
+            "repetitions": rounds, "real_time": value,
+            "time_unit": runs[0].get("time_unit", "ns")})
+json.dump(merged, open(out, "w"), indent=2)
+PY
+      done
+    done
+  done
+  mkdir -p "$OUT_DIR/base" "$OUT_DIR/fresh"
+  for side in base fresh; do
+    mv "$tmp/$side"/BENCH_*.json "$OUT_DIR/$side/"
+  done
+  echo "wrote $OUT_DIR/{base,fresh}; compare with"
+  echo "  bench/compare_bench.py $OUT_DIR/base $OUT_DIR/fresh"
+  exit 0
+fi
 
 produced=()
 for entry in "${selected[@]}"; do

@@ -63,6 +63,7 @@ struct AlphaNode {
   uint32_t right = kNull;
   bool critical = false;
   bool dead = false;         // entry erased; dropped at whole-tree rebuilds
+  bool rebuilt = false;      // fresh root of a subtree rebuild (validate())
   uint64_t init_weight = 0;  // critical only: weight at the last (re)build
   uint64_t weight = 0;       // critical only: entries in the subtree + 1
   bool holds_entry() const { return true; }
@@ -256,12 +257,11 @@ class AlphaSkeleton {
   // build(entries), where entries were collected from v's subtree. A
   // whole-tree rebuild first drops the dead entries and resets the root
   // weights. A subtree rebuild of a node of initial weight old_init leaves
-  // the fresh root unmarked under the §7.3.2 exception unless
-  // keeps_mark(root) holds. Returns the fresh root.
+  // the fresh root unmarked under the §7.3.2 exception (an unmarked root
+  // keeps any entry it holds). Returns the fresh root.
   template <typename Build>
   uint32_t replace(uint32_t v, uint32_t parent, uint64_t old_init,
-                   std::vector<Entry>& entries, Build&& build,
-                   bool (*keeps_mark)(const Node&) = nullptr) {
+                   std::vector<Entry>& entries, Build&& build) {
     ++rebuilds_;
     bool whole = parent == kNull;
     if (whole) std::erase_if(entries, [](const Entry& e) { return e.dead; });
@@ -277,10 +277,10 @@ class AlphaSkeleton {
     (pool_[parent].left == v ? pool_[parent].left : pool_[parent].right) =
         fresh;
     if (fresh != kNull && pool_[fresh].critical &&
-        rebuild_root_exception(old_init, alpha_) &&
-        !(keeps_mark && keeps_mark(pool_[fresh]))) {
+        rebuild_root_exception(old_init, alpha_)) {
       pool_[fresh].critical = false;
     }
+    if (fresh != kNull) pool_[fresh].rebuilt = true;
     return fresh;
   }
 
@@ -297,6 +297,33 @@ class AlphaSkeleton {
       return w;
     };
     return rec(rec, root_) == root_weight_ && ok;
+  }
+
+  // Lemma 7.2 at every rebuilt subtree root that kept its mark: its critical
+  // parent (the nearest critical ancestor, or the virtual root) sits in a
+  // strictly higher weight band, by initial weights. That is what the
+  // §7.3.2 exception protects, and it implies the lemma's ratio
+  // 2 init(parent) >= α init(root).
+  bool rebuilt_roots_valid() const {
+    auto band = [&](uint64_t w) {  // largest i with 2α^i - 1 <= w
+      int i = 0;
+      for (uint64_t pw = alpha_; 2 * pw - 1 <= w; pw *= alpha_) ++i;
+      return i;
+    };
+    bool ok = true;
+    auto rec = [&](auto&& self, uint32_t v, uint64_t parent_init) -> void {
+      if (v == kNull) return;
+      const Node& nd = pool_[v];
+      if (nd.critical && nd.rebuilt &&
+          band(parent_init) <= band(nd.init_weight)) {
+        ok = false;
+      }
+      uint64_t below = nd.critical ? nd.init_weight : parent_init;
+      self(self, nd.left, below);
+      self(self, nd.right, below);
+    };
+    rec(rec, root_, root_init_);
+    return ok;
   }
 
   uint64_t alpha_;

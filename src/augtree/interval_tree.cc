@@ -4,6 +4,8 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <limits>
 #include <unordered_map>
@@ -19,7 +21,36 @@ namespace weg::augtree {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Shared record validation: a malformed record (non-finite endpoint or
+// l > r) would poison BST key comparisons. The bulk mutation paths reject
+// it before the first write, charging the scan as bulk reads (an input-only
+// function, so asym totals stay deterministic).
+Status check_interval(const Interval& iv, const char* op) {
+  if (!std::isfinite(iv.l) || !std::isfinite(iv.r)) {
+    return Status::InvalidArgument(std::string(op) + ": non-finite endpoint" +
+                                   " on interval id " + std::to_string(iv.id));
+  }
+  if (iv.l > iv.r) {
+    return Status::InvalidArgument(std::string(op) + ": inverted interval [" +
+                                   std::to_string(iv.l) + ", " +
+                                   std::to_string(iv.r) + "] id " +
+                                   std::to_string(iv.id));
+  }
+  return Status::Ok();
 }
+
+// The static builds have no error channel, and on a malformed record the
+// rank count and the stabbing walk would disagree (the report pass would
+// then write outside its slice), so they stop the program instead. The
+// check rides on the pass that reads the endpoints anyway.
+void require_wellformed(const Interval& iv, const char* op) {
+  Status s = check_interval(iv, op);
+  if (s.ok()) return;
+  std::fprintf(stderr, "weg::augtree: %s\n", s.message().c_str());
+  std::abort();
+}
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // StaticIntervalTree
@@ -50,6 +81,38 @@ void setup_shape(size_t num_endpoints, size_t& m, int& h) {
 
 }  // namespace
 
+template <typename Put>
+void StaticIntervalTree::fill_keys(Put&& put) {
+  size_t ne = 2 * n_;
+  keys_.resize(m_);
+  rank_dir_.resize(ne / 64 + 1);
+  asym::count_write(rank_dir_.size());
+  // Word w covers slots [64w, 64w + 64); the words past the directory hold
+  // only +inf padding.
+  parallel::parallel_for(0, (m_ + 63) / 64, [&](size_t w) {
+    uint64_t mask = 0;
+    size_t lo = 64 * w, hi = std::min(m_, lo + 64);
+    for (size_t i = lo; i < hi; ++i) {
+      if (i >= ne) {
+        keys_[i] = kInf;
+      } else if (put(i)) {
+        mask |= uint64_t{1} << (i - lo);
+      }
+    }
+    if (w < rank_dir_.size()) rank_dir_[w].left_mask = mask;
+  });
+  // The prefix counts: the directory is 1/64 of the keys, so one serial
+  // pass over it, charged as a scan (it reads each word and writes it
+  // again).
+  asym::count_read(rank_dir_.size());
+  asym::count_write(rank_dir_.size());
+  uint64_t before = 0;
+  for (RankWord& rw : rank_dir_) {
+    rw.lefts_before = before;
+    before += static_cast<uint64_t>(std::popcount(rw.left_mask));
+  }
+}
+
 StaticIntervalTree StaticIntervalTree::build_postsorted(
     const std::vector<Interval>& ivs, Stats* stats) {
   asym::Region region;
@@ -63,26 +126,24 @@ StaticIntervalTree StaticIntervalTree::build_postsorted(
   // the input, so it costs reads only.
   std::vector<uint64_t> keys(ne);
   parallel::parallel_for(0, t.n_, [&](size_t i) {
+    require_wellformed(ivs[i], "build_postsorted");
     keys[2 * i] = sort::double_to_sortable(ivs[i].l);
     keys[2 * i + 1] = sort::double_to_sortable(ivs[i].r);
   });
   asym::count_read(ne);
   auto order = sort::incremental_sort_we_order(keys);
 
-  // 2) Ranks and sorted key array (O(n) reads/writes), +inf padding
-  // included. `order` is a permutation, so every iteration writes distinct
-  // slots.
+  // 2) Ranks, the sorted key array and the rank directory (O(n)
+  // reads/writes), +inf padding included. `order` is a permutation, so every
+  // iteration writes distinct slots.
   primitives::UninitVector<uint32_t> rank(ne);
-  t.keys_.resize(t.m_);
   asym::count_read(ne);
   asym::count_write(2 * ne);
-  parallel::parallel_for(0, t.m_, [&](size_t i) {
-    if (i >= ne) {
-      t.keys_[i] = kInf;
-      return;
-    }
-    rank[order[i]] = static_cast<uint32_t>(i);
-    t.keys_[i] = (order[i] & 1) ? ivs[order[i] / 2].r : ivs[order[i] / 2].l;
+  t.fill_keys([&](size_t i) {
+    uint32_t e = order[i];
+    rank[e] = static_cast<uint32_t>(i);
+    t.keys_[i] = (e & 1) ? ivs[e / 2].r : ivs[e / 2].l;
+    return (e & 1) == 0;
   });
 
   // 3) Assign each interval to its node with the O(1) implicit-tree LCA and
@@ -204,16 +265,20 @@ StaticIntervalTree StaticIntervalTree::build_classic(
   size_t ne = 2 * t.n_;
   setup_shape(std::max<size_t>(ne, 1), t.m_, t.height_);
 
-  // Classic: sort the endpoints with the Θ(n log n)-write mergesort.
-  std::vector<double> endpoints(ne);
+  // Classic: sort the endpoints with the Θ(n log n)-write mergesort, each
+  // tagged with its side (false = left) for the rank directory.
+  std::vector<std::pair<double, bool>> endpoints(ne);
   for (size_t i = 0; i < t.n_; ++i) {
-    endpoints[2 * i] = ivs[i].l;
-    endpoints[2 * i + 1] = ivs[i].r;
+    require_wellformed(ivs[i], "build_classic");
+    endpoints[2 * i] = {ivs[i].l, false};
+    endpoints[2 * i + 1] = {ivs[i].r, true};
   }
   primitives::sort_inplace(endpoints);
-  t.keys_.assign(t.m_, kInf);
   asym::count_write(ne);
-  std::copy(endpoints.begin(), endpoints.end(), t.keys_.begin());
+  t.fill_keys([&](size_t i) {
+    t.keys_[i] = endpoints[i].first;
+    return !endpoints[i].second;
+  });
 
   // Recursive partition, copying the interval set at every level (this is
   // the Θ(n log n)-write baseline). The two child partitions touch disjoint
@@ -324,31 +389,6 @@ struct StaticStabReport {
   }
 };
 
-// Counting visitor (Appendix A): binary search in each visited node's sorted
-// run — O(log^2 n + duplicate fringe) reads, zero writes.
-struct StaticStabCount {
-  const CsrEntry* by_left = nullptr;
-  const CsrEntry* by_right = nullptr;
-  double q = 0;
-  size_t total = 0;
-
-  void left_run(size_t lo, size_t hi, core::Tally& t) {
-    const CsrEntry* it = std::upper_bound(by_left + lo, by_left + hi,
-                                          std::make_pair(q, UINT32_MAX));
-    t.reads += static_cast<uint64_t>(std::bit_width(hi - lo + 1));
-    total += static_cast<size_t>(it - (by_left + lo));
-  }
-  void right_run(size_t lo, size_t hi, core::Tally& t) {
-    // by_right is sorted descending by r.
-    const CsrEntry* it = std::lower_bound(
-        by_right + lo, by_right + hi, q,
-        [](const CsrEntry& e, double v) { return e.first >= v; });
-    t.reads += static_cast<uint64_t>(std::bit_width(hi - lo + 1));
-    total += static_cast<size_t>(it - (by_right + lo));
-  }
-  void all_run(size_t lo, size_t hi, core::Tally&) { total += hi - lo; }
-};
-
 }  // namespace
 
 template <typename V>
@@ -407,26 +447,50 @@ std::vector<uint32_t> StaticIntervalTree::stab(double q) const {
   return out;
 }
 
-size_t StaticIntervalTree::stab_count(double q) const {
-  StaticStabCount vis{by_left_.data(), by_right_.data(), q};
-  core::Tally t;
-  stab_lanes(&vis, 1, root_pos(), t);
-  t.charge();
-  return vis.total;
+size_t StaticIntervalTree::lefts_below(size_t x) const {
+  const RankWord& rw = rank_dir_[x / 64];
+  uint64_t below = (uint64_t{1} << (x % 64)) - 1;
+  return rw.lefts_before +
+         static_cast<size_t>(std::popcount(rw.left_mask & below));
 }
 
-// The batch variants walk fixed blocks of kStabLanes probes: count_block
-// sets counts[i] for every probe i of [lo, hi), in one lane walk.
-void StaticIntervalTree::count_block(const std::vector<double>& qs, size_t lo,
-                                     size_t hi, size_t* counts) const {
-  StaticStabCount vis[kStabLanes];
-  for (size_t i = lo; i < hi; ++i) {
-    vis[i - lo] = {by_left_.data(), by_right_.data(), qs[i]};
+void StaticIntervalTree::rank_counts(const double* qs, size_t m,
+                                     size_t* counts) const {
+  size_t ne = 2 * n_;
+  if (ne == 0) {
+    std::fill(counts, counts + m, size_t{0});
+    return;
+  }
+  // Branchless lower_bound over keys_[0, ne): every lane takes the same
+  // halving steps, so one pass of the inner loop issues m independent loads.
+  const double* keys = keys_.data();
+  size_t lo[kStabLanes] = {};
+  uint64_t steps = 1;  // the final comparison below
+  for (size_t len = ne; len > 1; ++steps) {
+    size_t half = len / 2;
+    for (size_t l = 0; l < m; ++l) {
+      lo[l] = keys[lo[l] + half] < qs[l] ? lo[l] + half : lo[l];
+    }
+    len -= half;
   }
   core::Tally t;
-  stab_lanes(vis, hi - lo, root_pos(), t);
+  for (size_t l = 0; l < m; ++l) {
+    double q = qs[l];
+    size_t lower = lo[l] + (keys[lo[l]] < q ? 1 : 0);
+    size_t upper = lower;
+    while (upper < ne && keys[upper] == q) ++upper;
+    // The search, the run of keys equal to q with the key that ends it, and
+    // the two directory words.
+    t.reads += steps + (upper - lower) + (upper < ne ? 1 : 0) + 2;
+    counts[l] = lefts_below(upper) - (lower - lefts_below(lower));
+  }
   t.charge();
-  for (size_t i = lo; i < hi; ++i) counts[i] = vis[i - lo].total;
+}
+
+size_t StaticIntervalTree::stab_count(double q) const {
+  size_t c = 0;
+  rank_counts(&q, 1, &c);
+  return c;
 }
 
 parallel::BatchResult<uint32_t> StaticIntervalTree::stab_batch(
@@ -434,7 +498,7 @@ parallel::BatchResult<uint32_t> StaticIntervalTree::stab_batch(
   return parallel::batch_two_phase_blocks<uint32_t, kStabLanes>(
       qs.size(),
       [&](size_t lo, size_t hi, size_t* sizes) {
-        count_block(qs, lo, hi, sizes);
+        rank_counts(qs.data() + lo, hi - lo, sizes + lo);
       },
       [&](size_t lo, size_t hi, uint32_t* items, const size_t* offsets) {
         StaticStabReport<uint32_t*> vis[kStabLanes];
@@ -452,7 +516,7 @@ std::vector<size_t> StaticIntervalTree::stab_count_batch(
     const std::vector<double>& qs) const {
   return parallel::batch_map_blocks<size_t, kStabLanes>(
       qs.size(), [&](size_t lo, size_t hi, size_t* out) {
-        count_block(qs, lo, hi, out);
+        rank_counts(qs.data() + lo, hi - lo, out + lo);
       });
 }
 
@@ -479,6 +543,29 @@ bool StaticIntervalTree::validate(const std::vector<Interval>& ivs) const {
   }
   for (int s : seen) {
     if (s != 1) return false;
+  }
+  // The rank directory: consistent prefix counts, no bits past rank 2n,
+  // and at every run boundary x of keys_ (keys_[x-1] < keys_[x], or x = 0
+  // or 2n) exactly the intervals with l < keys_[x] to its left.
+  size_t ne = 2 * n_;
+  if (rank_dir_.size() != ne / 64 + 1) return false;
+  for (size_t w = 0, before = 0; w < rank_dir_.size(); ++w) {
+    if (rank_dir_[w].lefts_before != before) return false;
+    before += static_cast<size_t>(std::popcount(rank_dir_[w].left_mask));
+  }
+  uint64_t last = rank_dir_.back().left_mask;
+  if (ne % 64 != 0 ? (last >> (ne % 64)) != 0 : last != 0) return false;
+  std::vector<double> lefts(n_);
+  for (size_t i = 0; i < n_; ++i) lefts[i] = ivs[i].l;
+  std::sort(lefts.begin(), lefts.end());
+  for (size_t x = 0; x <= ne; ++x) {
+    if (x > 0 && x < ne && !(keys_[x - 1] < keys_[x])) continue;
+    size_t want = x == ne ? n_
+                          : static_cast<size_t>(
+                                std::lower_bound(lefts.begin(), lefts.end(),
+                                                 keys_[x]) -
+                                lefts.begin());
+    if (lefts_below(x) != want) return false;
   }
   return true;
 }
@@ -563,28 +650,6 @@ void DynamicIntervalTree::store(uint32_t v, const Interval& iv) {
   pool_[u].by_l.insert(iv.l, iv.id);
   pool_[u].by_r.insert(iv.r, iv.id);
 }
-
-namespace {
-
-// Shared record validation for the bulk mutation paths: a malformed record
-// (non-finite endpoint or l > r) would poison BST key comparisons, so it is
-// rejected before the first write. The scan is charged as bulk reads — an
-// input-only function, so asym totals stay deterministic.
-Status check_interval(const Interval& iv, const char* op) {
-  if (!std::isfinite(iv.l) || !std::isfinite(iv.r)) {
-    return Status::InvalidArgument(std::string(op) + ": non-finite endpoint" +
-                                   " on interval id " + std::to_string(iv.id));
-  }
-  if (iv.l > iv.r) {
-    return Status::InvalidArgument(std::string(op) + ": inverted interval [" +
-                                   std::to_string(iv.l) + ", " +
-                                   std::to_string(iv.r) + "] id " +
-                                   std::to_string(iv.id));
-  }
-  return Status::Ok();
-}
-
-}  // namespace
 
 Status DynamicIntervalTree::bulk_insert(const std::vector<Interval>& batch) {
   if (batch.empty()) return Status::Ok();
@@ -827,7 +892,7 @@ std::vector<size_t> DynamicIntervalTree::stab_count_batch(
 
 bool DynamicIntervalTree::validate() const {
   if (root_ == kNull) return live_intervals_ == 0;
-  bool ok = weights_valid();
+  bool ok = weights_valid() && rebuilt_roots_valid();
   size_t stored = 0;
   // BST order, treap invariants, intervals contain their node key.
   auto rec = [&](auto&& self, uint32_t v, double lo, double hi) -> void {

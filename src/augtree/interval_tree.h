@@ -11,8 +11,11 @@
 //     sorted lists out of the result — O(n) writes after sorting.
 // Both produce identical query structure: a stabbing query walks the
 // endpoint tree and scans each visited node's interval list sorted by left
-// (resp. right) endpoint, O(log n + k) reads and O(k) output writes; the
-// counting variant (Appendix A) binary-searches instead and writes nothing.
+// (resp. right) endpoint, O(log n + k) reads and O(k) output writes. Both
+// also write a left-endpoint rank directory over the sorted endpoints, so
+// the counting variant is one binary search: O(log n) reads (plus the run
+// of endpoints equal to q) and no writes. Both builds abort on a malformed
+// record (non-finite endpoint or l > r).
 //
 // DynamicIntervalTree — reconstruction-based rebalancing with α-labeling
 // (Section 7.3) on the shared skeleton of src/augtree/alpha.h: the outer
@@ -57,7 +60,7 @@ class StaticIntervalTree {
   // All intervals containing q (ids), in no particular order. O(log n + k)
   // reads, O(k) output writes.
   std::vector<uint32_t> stab(double q) const;
-  // Counting variant (Appendix A): no output writes.
+  // Counting variant: O(log n) reads by endpoint rank, no output writes.
   size_t stab_count(double q) const;
 
   // Batched queries on the shared two-phase engine.
@@ -84,13 +87,28 @@ class StaticIntervalTree {
   //   vis.all_run(lo, hi, t)   — by_left_[lo, hi): q == key, take everything.
   // A lane whose probe equals a node key (rare) forks into both subtrees
   // as two one-lane walks. Reads and writes are tallied in `t` for the
-  // caller to charge. stab, stab_count, and the batch variants all
-  // instantiate it.
+  // caller to charge. stab and stab_batch's report pass instantiate it.
   template <typename V>
   void stab_lanes(V* vis, size_t m, size_t start, core::Tally& t) const;
-  // Counts of probes qs[lo, hi) (one lane block) into counts[lo, hi).
-  void count_block(const std::vector<double>& qs, size_t lo, size_t hi,
-                   size_t* counts) const;
+  // Counts by endpoint rank: the intervals containing q are those with
+  // l <= q minus those with r < q, so
+  //   count(q) = L(upper(q)) - (lower(q) - L(lower(q))),
+  // where lower(q) / upper(q) are the numbers of endpoints < q / <= q and
+  // L(x) is the number of left endpoints among the x smallest (ties between
+  // equal endpoints cannot matter: both ranks sit on run boundaries).
+  // Writes the counts of probes qs[0..m) (m <= kStabLanes) to counts[0..m):
+  // one branchless binary search per probe, the m searches in lockstep, plus
+  // the run of keys equal to the probe and two directory words. A NaN probe
+  // counts 0. stab_count, stab_count_batch and stab_batch's count pass all
+  // run it.
+  void rank_counts(const double* qs, size_t m, size_t* counts) const;
+  size_t lefts_below(size_t x) const;  // L(x), for x <= 2n
+  // Fills keys_ (with its +inf padding) and rank_dir_ in one parallel pass
+  // over 64-slot words: put(i), for each rank i < 2n, stores keys_[i] and
+  // returns whether that endpoint is a left one. Charges the directory's
+  // traffic (the masks, then the prefix scan); the caller charges its own.
+  template <typename Put>
+  void fill_keys(Put&& put);
 
   // Implicit perfect BST over m_ = 2^h - 1 slots; in-order position p
   // (1-based) stores the endpoint of rank p-1 (+inf padding above 2n).
@@ -108,6 +126,14 @@ class StaticIntervalTree {
   primitives::UninitVector<uint32_t> node_left_off_, node_right_off_;  // m_+1
   std::vector<std::pair<double, uint32_t>> by_left_;   // (l, id)
   std::vector<std::pair<double, uint32_t>> by_right_;  // (r, id)
+  // Left-endpoint rank directory, 2n/64 + 1 words: bit b of word w's mask
+  // is set iff the endpoint of rank 64w + b is a left endpoint, and
+  // lefts_before counts the left endpoints of ranks below 64w.
+  struct RankWord {
+    uint64_t left_mask;
+    uint64_t lefts_before;
+  };
+  primitives::UninitVector<RankWord> rank_dir_;
 };
 
 namespace detail {

@@ -463,10 +463,7 @@ void DynamicPriorityTree::rebuild(uint32_t v, uint32_t parent,
       [this](std::vector<Entry>& es) {
         sort_by_x(es);
         return build_range(es, 0, es.size(), 0);
-      },
-      // Points live only at critical nodes, so the §7.3.2 exception
-      // unmarks a fresh root only when it holds none.
-      [](const Node& nd) { return nd.has_point; });
+      });
   if (parent == kNull) dead_ = 0;
 }
 
@@ -553,7 +550,7 @@ std::vector<size_t> DynamicPriorityTree::query_count_batch(
 }
 
 bool DynamicPriorityTree::validate() const {
-  bool ok = weights_valid();
+  bool ok = weights_valid() && rebuilt_roots_valid();
   size_t live_seen = 0;
   auto rec = [&](auto&& self, uint32_t v, double xlo, double xhi,
                  double ymax) -> void {

@@ -16,8 +16,10 @@
 //     loaded into the symmetric memory (size Ω(log n)) and the subtree is
 //     finished there.
 //
-// DynamicPriorityTree (Section 7.3.4): points are stored only at *critical*
-// nodes (α-labeling); secondary nodes just partition x. An insertion swaps
+// DynamicPriorityTree (Section 7.3.4): points are stored at *critical*
+// nodes (α-labeling), and at a rebuilt subtree root that the §7.3.2
+// exception left unmarked; other secondary nodes just partition x. An
+// insertion swaps
 // the new point down the critical chain (O(log_α n) writes); deletions mark
 // points dead in place — a dead point still upper-bounds its subtree's
 // priorities, so query pruning stays correct. Balancing is the shared α
@@ -101,8 +103,9 @@ class StaticPriorityTree {
 };
 
 namespace detail {
-// Priority-tree node: critical nodes hold a point (the key) above an
-// x-splitter; secondary nodes only split.
+// Priority-tree node: critical nodes (and rebuilt roots the §7.3.2
+// exception unmarked) hold a point (the key) above an x-splitter; other
+// secondary nodes only split.
 struct PriorityNode : AlphaNode<PPoint> {
   double split = 0;  // internal only
   bool has_point = false;

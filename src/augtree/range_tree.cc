@@ -535,7 +535,7 @@ size_t AlphaRangeTree::inner_entries() const {
 
 bool AlphaRangeTree::validate() const {
   if (root_ == kNull) return live_ == 0;
-  bool ok = weights_valid();
+  bool ok = weights_valid() && rebuilt_roots_valid();
   size_t live_seen = 0;
   // Returns the live count; checks BST order and inner-tree sizes.
   auto rec = [&](auto&& self, uint32_t v) -> size_t {

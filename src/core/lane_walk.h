@@ -10,8 +10,12 @@
 // Callers:
 //   * the write-efficient sort's tracing step (sort::Tree::trace_block,
 //     src/sort/incremental_sort.cc),
-//   * the static interval tree's stabbing walk
-//     (StaticIntervalTree::stab_lanes, src/augtree/interval_tree.cc).
+//   * the static interval tree's stabbing walk, which stab and
+//     stab_batch's report pass run (StaticIntervalTree::stab_lanes,
+//     src/augtree/interval_tree.cc; its counts come from endpoint ranks),
+//   * the k-d tree's nearest-neighbour search, which knn_batch runs in
+//     blocks and nn_visit with one lane (KdTree::nn_lanes,
+//     src/kdtree/kdtree.h).
 //
 // Counting: a lane is charged exactly what a lone search pays, but the
 // charges are tallied in registers (Tally) and paid once per block, so the

@@ -297,6 +297,8 @@ bool KdTree<K>::validate() const {
         nd.end != std::max(l.end, r.end))
       return false;
     if (l.end != r.begin && r.end != l.begin) return false;
+    if (!(f.region.lo[nd.dim] <= nd.split && nd.split <= f.region.hi[nd.dim]))
+      return false;
     Box lr = f.region, rr = f.region;
     lr.hi[nd.dim] = nd.split;
     rr.lo[nd.dim] = nd.split;

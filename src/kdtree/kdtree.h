@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "src/asym/counters.h"
+#include "src/core/lane_walk.h"
 #include "src/geom/box.h"
 #include "src/geom/point.h"
 #include "src/kdtree/queries.h"
@@ -135,10 +136,24 @@ class KdTree : public KdQueries<KdTree<K>, K> {
   // bound cost one read instead of a descent. Both prune strictly (`>`), so
   // distance-tied candidates still reach offer() and the canonical
   // (d2, coords) order decides — results are traversal-independent.
+  // It is nn_lanes below with one lane (the forest calls it per level).
   template <typename V>
   void nn_visit(const Point& q, V&& vis, const QueryOptions& opts = {}) const {
-    if (root_ != kNullNode) nn_visit_rec(root_, Box::whole(), q, vis, opts);
+    nn_lanes<1>(&q, &vis, 1, &opts);
   }
+
+  // The nearest-neighbour traversal for queries qs[0..m) (m <= Lanes) with
+  // visitors vis[0..m) and options opts[0..m), walked together on the
+  // shared lane kernel (src/core/lane_walk.h). Each lane runs the
+  // depth-first search above from an explicit stack (far child pushed
+  // under the near one, so the visit order, the prune checks and the
+  // charges are a lone search's), one node per step: a step first scans
+  // the leaf the previous one reached, then pops until it fetches a node,
+  // and prefetches what the next step reads — both children of an interior
+  // node, or the points of a leaf. Reads are tallied and charged once.
+  template <size_t Lanes, typename V>
+  void nn_lanes(const Point* qs, V* vis, size_t m,
+                const QueryOptions* opts) const;
 
   // Index of a point equal to p (SIZE_MAX if absent). Descends the splits,
   // exploring both sides when p lies exactly on a splitting hyperplane.
@@ -184,8 +199,10 @@ class KdTree : public KdQueries<KdTree<K>, K> {
   size_t height() const;
 
   // Structural invariants: every leaf point lies on the correct side of all
-  // ancestor splits; leaf ranges partition points_; every node's [begin,
-  // end) slice is the union of its children's and its box bounds the slice.
+  // ancestor splits, and every split inside its ancestors' region (the
+  // nearest-neighbour walk's region distances rely on it); leaf ranges
+  // partition points_; every node's [begin, end) slice is the union of its
+  // children's and its box bounds the slice.
   // Returns false on any violation (test helper, uncounted).
   bool validate() const;
 
@@ -248,39 +265,48 @@ class KdTree : public KdQueries<KdTree<K>, K> {
     }
   }
 
-  template <typename V>
-  void nn_visit_rec(uint32_t node, const Box& region, const Point& q, V& vis,
-                    const QueryOptions& opts) const {
-    if (region.squared_distance(q) > vis.bound()) return;
-    if (opts.stats) ++opts.stats->nodes_visited;
-    asym::count_read();
-    const Node& nd = nodes_[node];
-    // Tight-box short-circuit: the subtree's bounding box lower-bounds every
-    // point distance in it, and is never looser than the split region.
-    if (opts.count_fast_path && nd.box.squared_distance(q) > vis.bound()) {
-      if (opts.stats) ++opts.stats->covered_subtrees;
-      return;
-    }
-    if (nd.is_leaf()) {
-      for (uint32_t i = nd.begin; i < nd.end; ++i) {
-        asym::count_read();
-        if (opts.stats) ++opts.stats->points_scanned;
-        vis.offer(points_[i], geom::squared_distance(points_[i], q));
+  // Lane width of knn_batch's blocks (KdQueries reads it).
+  static constexpr size_t kNnLanes = 8;
+
+  // A pending subtree of the nearest-neighbour search: the node and the
+  // distance from the query to the node's split-induced region, per axis
+  // (gap) and squared (d2 = sum of gap[d]^2 in axis order, which is
+  // Box::squared_distance of the region, bit for bit). Splits lie inside
+  // their region, so the near child keeps its parent's gaps and the far
+  // child's gap on the split axis is |q - split|.
+  struct NnFrame {
+    uint32_t node;
+    double d2;
+    double gap[K];
+  };
+  // The search stack of one lane. Its depth is at most the tree height
+  // plus one, so it lives in the lane itself up to kInline frames (left
+  // uninitialised until pushed) and spills to the heap only beyond that.
+  class NnStack {
+   public:
+    static constexpr size_t kInline = 64;
+    NnStack() {}  // no fill of inline_
+    bool empty() const { return n_ == 0; }
+    void push(const NnFrame& f) {
+      if (n_ < kInline) {
+        inline_[n_] = f;
+      } else {
+        spill_.push_back(f);
       }
-      return;
+      ++n_;
     }
-    Box left_region = region;
-    left_region.hi[nd.dim] = nd.split;
-    Box right_region = region;
-    right_region.lo[nd.dim] = nd.split;
-    if (q[nd.dim] <= nd.split) {
-      nn_visit_rec(nd.left, left_region, q, vis, opts);
-      nn_visit_rec(nd.right, right_region, q, vis, opts);
-    } else {
-      nn_visit_rec(nd.right, right_region, q, vis, opts);
-      nn_visit_rec(nd.left, left_region, q, vis, opts);
+    NnFrame pop() {
+      if (--n_ < kInline) return inline_[n_];
+      NnFrame f = spill_.back();
+      spill_.pop_back();
+      return f;
     }
-  }
+
+   private:
+    NnFrame inline_[kInline];
+    size_t n_ = 0;
+    std::vector<NnFrame> spill_;
+  };
 
   std::vector<Node> nodes_;
   std::vector<Point> points_;
@@ -290,6 +316,71 @@ class KdTree : public KdQueries<KdTree<K>, K> {
   template <int K2>
   friend class PBatchedBuilder;
 };
+
+template <int K>
+template <size_t Lanes, typename V>
+void KdTree<K>::nn_lanes(const Point* qs, V* vis, size_t m,
+                         const QueryOptions* opts) const {
+  if (root_ == kNullNode) return;
+  struct Lane {
+    NnStack stack;
+    uint32_t scan_begin = 0, scan_end = 0;  // the leaf the next step scans
+  };
+  Lane lanes[Lanes];
+  for (size_t l = 0; l < m; ++l) {
+    NnFrame root{root_, 0.0, {}};
+    lanes[l].stack.push(root);
+  }
+  core::Tally t;
+  core::walk_lanes<Lanes>(m, [&](size_t l) {
+    Lane& lane = lanes[l];
+    const Point& q = qs[l];
+    V& v = vis[l];
+    QueryStats* stats = opts[l].stats;
+    for (uint32_t i = lane.scan_begin; i < lane.scan_end; ++i) {
+      if (stats) ++stats->points_scanned;
+      v.offer(points_[i], geom::squared_distance(points_[i], q));
+    }
+    t.reads += lane.scan_end - lane.scan_begin;
+    lane.scan_begin = lane.scan_end = 0;
+    while (!lane.stack.empty()) {
+      NnFrame f = lane.stack.pop();
+      if (f.d2 > v.bound()) continue;
+      if (stats) ++stats->nodes_visited;
+      t.reads += 1;  // the node: split, slice and box together
+      const Node& nd = nodes_[f.node];
+      // Tight-box short-circuit: the subtree's bounding box lower-bounds
+      // every point distance in it, and is never looser than the region.
+      if (opts[l].count_fast_path && nd.box.squared_distance(q) > v.bound()) {
+        if (stats) ++stats->covered_subtrees;
+        continue;
+      }
+      if (nd.is_leaf()) {
+        lane.scan_begin = nd.begin;
+        lane.scan_end = nd.end;
+        auto* p = reinterpret_cast<const char*>(points_.data() + nd.begin);
+        auto* e = reinterpret_cast<const char*>(points_.data() + nd.end);
+        for (; p < e; p += 64) __builtin_prefetch(p);
+        return true;
+      }
+      bool left_first = q[nd.dim] <= nd.split;
+      NnFrame far = f;
+      far.node = left_first ? nd.right : nd.left;
+      far.gap[nd.dim] =
+          left_first ? nd.split - q[nd.dim] : q[nd.dim] - nd.split;
+      far.d2 = 0;
+      for (int d = 0; d < K; ++d) far.d2 += far.gap[d] * far.gap[d];
+      f.node = left_first ? nd.left : nd.right;
+      lane.stack.push(far);
+      lane.stack.push(f);
+      __builtin_prefetch(&nodes_[nd.left]);
+      __builtin_prefetch(&nodes_[nd.right]);
+      return true;
+    }
+    return false;
+  });
+  t.charge();
+}
 
 using KdTree2 = KdTree<2>;
 using KdTree3 = KdTree<3>;

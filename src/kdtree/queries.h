@@ -17,7 +17,6 @@
 #include <cmath>
 #include <limits>
 #include <optional>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -92,43 +91,79 @@ class NearestOne {
 };
 
 // Exact k nearest neighbours: a max-heap of the k best under the canonical
-// order; the bound is the k-th candidate's distance once k are held.
+// order; the bound is the k-th candidate's distance once k are held. The
+// heap runs std::push_heap / std::pop_heap over its slots, as
+// std::priority_queue does, so which of several identical points it keeps
+// and the order it drains them in are the same; for k <= kInline the slots
+// live in the object itself, so a query allocates nothing.
 template <typename Point>
 class NearestK {
  public:
-  explicit NearestK(size_t k) : k_(k) {}
+  static constexpr size_t kInline = 16;
+
+  explicit NearestK(size_t k = 0) { reset(k); }
+  NearestK(const NearestK&) = delete;
+  NearestK& operator=(const NearestK&) = delete;
+
+  // Empties the candidate set and sets k.
+  void reset(size_t k) {
+    k_ = k;
+    size_ = 0;
+    if (k_ > kInline) spill_.resize(k_ + 1);
+  }
+
   double bound() const {
-    return heap_.size() < k_ ? std::numeric_limits<double>::infinity()
-                             : heap_.top().first;
+    return size_ < k_ ? std::numeric_limits<double>::infinity()
+                      : slots()[0].d2;
   }
   void offer(const Point& p, double d2) {
     Entry e{d2, &p};
-    if (heap_.size() < k_) {
-      heap_.push(e);
-    } else if (Order{}(e, heap_.top())) {
-      heap_.push(e);
-      heap_.pop();
+    Entry* h = slots();
+    if (size_ < k_) {
+      h[size_++] = e;
+      std::push_heap(h, h + size_, Order{});
+    } else if (size_ > 0 && Order{}(e, h[0])) {
+      h[size_++] = e;  // the transient (k+1)-th slot
+      std::push_heap(h, h + size_, Order{});
+      std::pop_heap(h, h + size_, Order{});
+      --size_;
     }
   }
-  // Drains the heap into the candidates sorted ascending in canonical order.
-  std::vector<const Point*> take_sorted() {
-    std::vector<const Point*> out(heap_.size());
-    for (size_t i = out.size(); i-- > 0;) {
-      out[i] = heap_.top().second;
-      heap_.pop();
+  size_t size() const { return size_; }
+  // Drains the heap, calling emit(i, p) for the candidates in ascending
+  // canonical order (i = 0 is the nearest).
+  template <typename Emit>
+  void drain_sorted(Emit&& emit) {
+    Entry* h = slots();
+    for (size_t i = size_; i-- > 0;) {
+      emit(i, *h[0].p);
+      std::pop_heap(h, h + size_, Order{});
+      --size_;
     }
+  }
+  std::vector<const Point*> take_sorted() {
+    std::vector<const Point*> out(size_);
+    drain_sorted([&](size_t i, const Point& p) { out[i] = &p; });
     return out;
   }
 
  private:
-  using Entry = std::pair<double, const Point*>;
+  struct Entry {
+    double d2;
+    const Point* p;
+  };
   struct Order {
     bool operator()(const Entry& a, const Entry& b) const {
-      return nearer(a.first, *a.second, b.first, *b.second);
+      return nearer(a.d2, *a.p, b.d2, *b.p);
     }
   };
-  size_t k_;
-  std::priority_queue<Entry, std::vector<Entry>, Order> heap_;
+  Entry* slots() { return k_ > kInline ? spill_.data() : inline_; }
+  const Entry* slots() const { return k_ > kInline ? spill_.data() : inline_; }
+
+  size_t k_ = 0;
+  size_t size_ = 0;
+  Entry inline_[kInline + 1];  // + 1: the transient slot of offer()
+  std::vector<Entry> spill_;
 };
 
 namespace detail {
@@ -172,7 +207,12 @@ class BatchStatsScope {
 //   range_count(box, opts)       — the counting range traversal,
 //   report_into(box, out, opts)  — the reporting range traversal, writing
 //                                  range_count(box) points at out,
-//   nn_visit(q, vis, opts)       — the nearest-neighbour traversal.
+//   nn_visit(q, vis, opts)       — the nearest-neighbour traversal,
+// and optionally
+//   kNnLanes, nn_lanes<kNnLanes>(qs, vis, m, opts)
+//                                — the same traversal for m <= kNnLanes
+//                                  queries walked together (KdTree), which
+//                                  knn_batch then runs in blocks.
 //
 // Unified batch contract (see docs/ARCHITECTURE.md "Count augmentation &
 // pruning"): every batch runs on the shared two-phase engine and returns,
@@ -218,13 +258,43 @@ class KdQueries {
                                          const QueryOptions& opts = {}) const {
     size_t per = std::min(k, self().size());
     detail::BatchStatsScope bs(qs.size(), opts);
-    return parallel::batch_two_phase<Point>(
+    auto count = [&](size_t i) {
+      return finite_point<K>(qs[i]) ? per : size_t{0};
+    };
+    // Blocks of L queries: the ones with an answer search together (KdTree
+    // walks them in lanes; the other structures search one at a time), and
+    // each drains its candidates straight into its slice.
+    constexpr size_t L = lanes();
+    return parallel::batch_two_phase_blocks<Point, L>(
         qs.size(),
-        [&](size_t i) { return finite_point<K>(qs[i]) ? per : size_t{0}; },
-        [&](size_t i, Point* out) {
-          std::vector<const Point*> nn = k_nearest(qs[i], k, bs.at(i));
-          asym::count_write(nn.size());
-          for (const Point* p : nn) *out++ = *p;
+        [&](size_t lo, size_t hi, size_t* sizes) {
+          for (size_t i = lo; i < hi; ++i) sizes[i] = count(i);
+        },
+        [&](size_t lo, size_t hi, Point* items, const size_t* offsets) {
+          NearestK<Point> vis[L];
+          Point lane_q[L];
+          QueryOptions lane_opts[L];
+          Point* out[L] = {};
+          size_t m = 0;
+          for (size_t i = lo; i < hi; ++i) {
+            if (count(i) == 0) continue;
+            vis[m].reset(per);
+            lane_q[m] = qs[i];
+            lane_opts[m] = bs.at(i);
+            out[m++] = items + offsets[i];
+          }
+          if constexpr (L > 1) {
+            self().template nn_lanes<L>(lane_q, vis, m, lane_opts);
+          } else if (m == 1) {
+            self().nn_visit(lane_q[0], vis[0], lane_opts[0]);
+          }
+          uint64_t written = 0;
+          for (size_t j = 0; j < m; ++j) {
+            written += vis[j].size();
+            vis[j].drain_sorted(
+                [&](size_t r, const Point& p) { out[j][r] = p; });
+          }
+          asym::count_write(written);
         });
   }
 
@@ -237,6 +307,15 @@ class KdQueries {
   }
 
  protected:
+  // knn_batch's block width: Derived::kNnLanes when it walks that many
+  // nearest-neighbour searches together (nn_lanes), else 1.
+  static constexpr size_t lanes() {
+    if constexpr (requires { Derived::kNnLanes; }) {
+      return Derived::kNnLanes;
+    } else {
+      return 1;
+    }
+  }
   // The (1+eps)-ANN; nullptr when the structure is empty or q is not
   // finite.
   const Point* nearest(const Point& q, double eps,

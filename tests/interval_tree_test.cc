@@ -7,6 +7,7 @@
 
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "src/augtree/interval_tree.h"
 #include "src/primitives/random.h"
@@ -179,7 +180,11 @@ TEST(StaticIT, CountingQueryWritesNothing) {
 // duplicated that one node's run spans several pack blocks, a single interval,
 // and 2n a power of two (the +inf padding then fills half of keys_). The
 // p=1/2/8 reruns of this suite (tests/CMakeLists.txt) make them a
-// cross-worker-count determinism check as well.
+// cross-worker-count determinism check as well. The counts were recaptured
+// once, when the build began to write the left-endpoint rank directory
+// (d = 2n/64 + 1 words): its masks cost d writes and its prefix scan d reads
+// and d writes, so reads rose by d and writes by 2d; the fingerprints did
+// not move.
 std::vector<Interval> clustered_endpoints(size_t n, uint64_t seed) {
   primitives::Rng rng(seed);
   std::vector<Interval> ivs(n);
@@ -231,25 +236,25 @@ INSTANTIATE_TEST_SUITE_P(
                      {0x1d3d9d44b848d432ULL, 0xac981d4aa5d55a63ULL,
                       0xac981d4aa5d55a63ULL, 0xce6c897901b36bf4ULL,
                       0xc58813c8710a70a4ULL},
-                     1911074, 426685},
+                     1911700, 427937},
         LayoutGolden{"clustered12000",
                      [] { return clustered_endpoints(12000, 0xC1A5); },
                      {0x6239a1e0f82818d6ULL, 0x63d6e519c7e15ec6ULL,
                       0x63d6e519c7e15ec6ULL, 0xa7994a55acabd1dcULL,
                       0xfe0ccb16e5b14078ULL},
-                     31101407, 8608772},
+                     31101783, 8609524},
         LayoutGolden{"single",
                      [] { return std::vector<Interval>{{0.25, 0.75, 0}}; },
                      {0x26a16fc8443dca22ULL, 0xe71868dec0bbb6e3ULL,
                       0xe71868dec0bbb6e3ULL, 0xc99f51472ff9aa1aULL,
                       0xc19016f699640692ULL},
-                     20, 38},
+                     21, 40},
         LayoutGolden{"pow2",
                      [] { return make_intervals(Pattern::kMixed, 2048, 41); },
                      {0xbd541b199af64215ULL, 0x5e2f8ab4d7c5addaULL,
                       0x5e2f8ab4d7c5addaULL, 0xfda30767973186bdULL,
                       0x4de892da5cc591d6ULL},
-                     159013, 43885}),
+                     159078, 44015}),
     [](const ::testing::TestParamInfo<LayoutGolden>& info) {
       return std::string(info.param.name);
     });
@@ -321,6 +326,81 @@ TEST(StaticIT, LaneWalkBatchesMatchSerialStabs) {
     }
   }
   EXPECT_EQ(order, 0xfc51b6b76301d1caULL);
+}
+
+// Counts by endpoint rank against brute force, for both builds: the
+// duplicate-endpoint input, zero-length intervals on a grid (their two
+// endpoints tie), a mixed input, one interval and none. Probes are every
+// stored endpoint and its two neighbouring doubles, grid values, random
+// points, and ±inf and NaN; stab_count, stab_count_batch and stab_batch's
+// slice sizes must all equal the brute count, and validate() checks the
+// rank directory itself.
+TEST(StaticIT, RankCountsMatchBruteForce) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<Interval> zero_len(3000);
+  primitives::Rng zrng(0x2E50);
+  for (size_t i = 0; i < zero_len.size(); ++i) {
+    double a = double(zrng.next_bounded(64)) / 64.0;
+    double b = i % 3 == 0 ? a + double(zrng.next_bounded(4)) / 64.0 : a;
+    zero_len[i] = Interval{a, b, uint32_t(i)};
+  }
+  std::vector<std::vector<Interval>> inputs = {
+      clustered_endpoints(12000, 0xC1A5), zero_len,
+      make_intervals(Pattern::kMixed, 2048, 41), {{0.25, 0.75, 0}}, {}};
+  for (const auto& ivs : inputs) {
+    SCOPED_TRACE("n = " + std::to_string(ivs.size()));
+    std::vector<double> qs = {inf, -inf, std::nan(""), 0.0, 1.0, 0.5};
+    for (size_t i = 0; i < ivs.size(); i += 7) {
+      for (double e : {ivs[i].l, ivs[i].r}) {
+        qs.push_back(e);
+        qs.push_back(std::nextafter(e, -inf));
+        qs.push_back(std::nextafter(e, inf));
+      }
+    }
+    for (int g = 0; g <= 64; ++g) qs.push_back(double(g) / 64.0);
+    primitives::Rng rng(0x4A7C + ivs.size());
+    for (int i = 0; i < 200; ++i) qs.push_back(rng.next_double());
+    for (auto build : {&StaticIntervalTree::build_postsorted,
+                       &StaticIntervalTree::build_classic}) {
+      auto t = build(ivs, nullptr);
+      ASSERT_TRUE(t.validate(ivs));
+      auto counts = t.stab_count_batch(qs);
+      auto b = t.stab_batch(qs);
+      ASSERT_EQ(counts.size(), qs.size());
+      for (size_t i = 0; i < qs.size(); ++i) {
+        size_t want = brute_stab(ivs, qs[i]);
+        EXPECT_EQ(t.stab_count(qs[i]), want) << "probe " << qs[i];
+        EXPECT_EQ(counts[i], want) << "probe " << qs[i];
+        EXPECT_EQ(b.count(i), want) << "probe " << qs[i];
+      }
+    }
+  }
+}
+
+// The static builds have no error channel: a non-finite endpoint or l > r
+// would make the rank count and the stabbing walk disagree, so both builds
+// stop the program with the dynamic paths' message.
+TEST(StaticITDeathTest, MalformedRecordsAbort) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  auto ok = testing::fixed_intervals(100, 0xDEAD);
+  auto with = [&](Interval bad) {
+    auto ivs = ok;
+    bad.id = 40;
+    ivs[40] = bad;
+    return ivs;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  auto inverted = with({0.7, 0.3, 0});
+  auto nan_end = with({std::nan(""), 0.5, 0});
+  auto inf_end = with({0.2, inf, 0});
+  EXPECT_DEATH(StaticIntervalTree::build_postsorted(inverted),
+               "build_postsorted: inverted interval");
+  EXPECT_DEATH(StaticIntervalTree::build_postsorted(nan_end),
+               "build_postsorted: non-finite endpoint on interval id 40");
+  EXPECT_DEATH(StaticIntervalTree::build_classic(inverted),
+               "build_classic: inverted interval");
+  EXPECT_DEATH(StaticIntervalTree::build_classic(inf_end),
+               "build_classic: non-finite endpoint on interval id 40");
 }
 
 class DynamicIT : public ::testing::TestWithParam<uint64_t> {};

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -21,6 +22,7 @@
 #include "src/augtree/range_tree.h"
 #include "src/kdtree/dynamic.h"
 #include "src/kdtree/kdtree.h"
+#include "src/kdtree/pbatched.h"
 #include "src/primitives/random.h"
 #include "tests/testing_util.h"
 
@@ -196,6 +198,88 @@ TEST(QueryBatchEquality, KdTreeRangeAndNeighborBatch) {
   EXPECT_TRUE(tree.knn(nan_q, k).empty());
   EXPECT_EQ(tree.ann(nan_q), SIZE_MAX);
   EXPECT_FALSE(tree.ann_batch({nan_q})[0].has_value());
+}
+
+// knn_batch on KdTree walks blocks of kNnLanes queries in lanes. Batches of
+// every block shape (empty, one, a partial block, a full one, one past, and
+// 1023) must return per query exactly the serial knn's points, in order; the
+// QueryStats sums must be equal; and the batch must charge exactly the
+// summed serial charges plus its bookkeeping (the sizes array, its scan and
+// one write per neighbour). The p-batched tree holds every point twice and
+// sits on a coarse grid, so distances tie everywhere; queries mix random
+// points, stored points, NaN and +inf; k runs from 0 past the in-object
+// candidate slots (k = 40) and past the tree size; and the covered fast
+// path is both on and off. The suite's p=1/2/8 reruns vary the workers.
+TEST(QueryBatchEquality, KnnLaneBlocksMatchSerialKnn) {
+  auto base = testing::random_points<2>(3000, 0x4B1D);
+  for (auto& p : base) {
+    for (int d = 0; d < 2; ++d) p[d] = std::floor(p[d] * 64.0) / 64.0;
+  }
+  std::vector<geom::Point2> dup = base;
+  dup.insert(dup.end(), base.begin(), base.end());
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* name;
+    kdtree::KdTree2 tree;
+  };
+  Case cases[] = {
+      {"pbatched-dup", kdtree::PBatched2::build(dup)},
+      {"classic", kdtree::KdTree2::build_classic(
+                      testing::random_points<2>(5000, 0x4B1E), 8)},
+      {"tiny", kdtree::KdTree2::build_classic(
+                   testing::random_points<2>(5, 0x4B1F), 8)},
+      {"empty", kdtree::KdTree2::build_classic({}, 8)}};
+  for (const Case& c : cases) {
+    const kdtree::KdTree2& tree = c.tree;
+    ASSERT_TRUE(tree.validate());
+    primitives::Rng rng(0x4B20 + tree.size());
+    for (size_t nq : {0, 1, 7, 8, 9, 1023}) {
+      std::vector<geom::Point2> qs(nq);
+      for (size_t i = 0; i < nq; ++i) {
+        qs[i] = geom::Point2{{rng.next_double(), rng.next_double()}};
+        if (i % 5 == 1 && tree.size() > 0) {
+          qs[i] = tree.points()[rng.next_bounded(tree.size())];
+        }
+        if (i % 11 == 3) qs[i][0] = std::nan("");
+        if (i % 13 == 4) qs[i][1] = inf;
+      }
+      for (size_t k : {0, 1, 8, 40}) {
+        for (bool fast : {true, false}) {
+          SCOPED_TRACE(std::string(c.name) + " nq=" + std::to_string(nq) +
+                       " k=" + std::to_string(k) +
+                       (fast ? " fast" : " leaf-scan"));
+          kdtree::QueryStats serial_stats, batch_stats;
+          kdtree::QueryOptions so, bo;
+          so.stats = &serial_stats;
+          bo.stats = &batch_stats;
+          so.count_fast_path = bo.count_fast_path = fast;
+          std::vector<std::vector<geom::Point2>> want(nq);
+          asym::Counts serial{};
+          size_t total = 0;
+          for (size_t i = 0; i < nq; ++i) {
+            asym::Region r;
+            auto ids = tree.knn(qs[i], k, so);
+            serial = serial + r.delta();
+            for (size_t id : ids) want[i].push_back(tree.points()[id]);
+            total += ids.size();
+          }
+          asym::Region rb;
+          auto b = tree.knn_batch(qs, k, bo);
+          asym::Counts cb = rb.delta();
+          ASSERT_EQ(b.num_queries(), nq);
+          for (size_t i = 0; i < nq; ++i) {
+            EXPECT_EQ(b.result(i), want[i]) << "query " << i;
+          }
+          EXPECT_EQ(cb.reads, serial.reads + (nq + 1));
+          EXPECT_EQ(cb.writes, serial.writes + total + nq + (nq + 1));
+          EXPECT_EQ(batch_stats.nodes_visited, serial_stats.nodes_visited);
+          EXPECT_EQ(batch_stats.points_scanned, serial_stats.points_scanned);
+          EXPECT_EQ(batch_stats.covered_subtrees,
+                    serial_stats.covered_subtrees);
+        }
+      }
+    }
+  }
 }
 
 TEST(QueryBatchEquality, CoveredSubtreeFastPathMatchesLeafScan) {
@@ -442,7 +526,9 @@ TEST(QueryBatchEquality, BatchCountsMatchSerialGolden) {
     auto r = itree.stab_batch(sq);
     auto c = region.delta();
     EXPECT_GT(r.total(), 0u);
-    EXPECT_EQ(c.reads, 120768u);
+    // Recaptured when the count pass moved from walking each probe's path
+    // (a binary search per visited node, 120768) to one rank search.
+    EXPECT_EQ(c.reads, 106621u);
     EXPECT_EQ(c.writes, 97815u);
   }
 
